@@ -308,6 +308,25 @@ impl SimAgent {
             .copied()
             .ok_or_else(|| RedfishError::NotFound(id.clone()))
     }
+
+    /// One pair's probe payload — the single source for `ProbeRoute` and
+    /// every `ProbeRoutes` entry, so the two can never disagree. `Conflict`
+    /// when no healthy route exists.
+    fn probe_payload(inner: &Inner, initiator: &ODataId, target: &ODataId) -> RedfishResult<Value> {
+        let iep = Self::lookup_endpoint(inner, initiator)?;
+        let tep = Self::lookup_endpoint(inner, target)?;
+        let probe = inner
+            .sim
+            .probe_route_detailed(iep, tep)
+            .ok_or_else(|| RedfishError::Conflict(format!("no healthy route {initiator} → {target}")))?;
+        Ok(json!({
+            "Hops": probe.path.hops(),
+            "LatencyNs": probe.path.latency_ns,
+            "BandwidthGbps": probe.path.bandwidth_gbps,
+            "ResidualGbps": finite_or_max(probe.min_residual_gbps),
+            "BlastRadius": probe.blast_radius,
+        }))
+    }
 }
 
 impl Agent for SimAgent {
@@ -535,24 +554,13 @@ impl Agent for SimAgent {
                 Ok(AgentResponse::default())
             }
             AgentOp::ProbeRoute { initiator, target } => {
-                let iep = Self::lookup_endpoint(&inner, initiator)?;
-                let tep = Self::lookup_endpoint(&inner, target)?;
-                let probe = inner
-                    .sim
-                    .probe_route_detailed(iep, tep)
-                    .ok_or_else(|| RedfishError::Conflict(format!("no healthy route {initiator} → {target}")))?;
+                let mut payload = Self::probe_payload(&inner, initiator, target)?;
+                payload["TopologyGeneration"] = json!(inner.sim.generation());
                 Ok(AgentResponse {
                     upserts: vec![],
                     removals: vec![],
                     primary: None,
-                    payload: Some(json!({
-                        "Hops": probe.path.hops(),
-                        "LatencyNs": probe.path.latency_ns,
-                        "BandwidthGbps": probe.path.bandwidth_gbps,
-                        "ResidualGbps": finite_or_max(probe.min_residual_gbps),
-                        "BlastRadius": probe.blast_radius,
-                        "TopologyGeneration": inner.sim.generation(),
-                    })),
+                    payload: Some(payload),
                 })
             }
             AgentOp::ProbeRoutes { pairs } => {
@@ -561,22 +569,8 @@ impl Agent for SimAgent {
                 let results: Vec<Value> = pairs
                     .iter()
                     .map(|(initiator, target)| {
-                        let resolved = Self::lookup_endpoint(&inner, initiator)
-                            .and_then(|i| Self::lookup_endpoint(&inner, target).map(|t| (i, t)));
-                        let (iep, tep) = match resolved {
-                            Ok(pair) => pair,
-                            Err(e) => return json!({"Error": e.to_string()}),
-                        };
-                        match inner.sim.probe_route_detailed(iep, tep) {
-                            Some(probe) => json!({
-                                "Hops": probe.path.hops(),
-                                "LatencyNs": probe.path.latency_ns,
-                                "BandwidthGbps": probe.path.bandwidth_gbps,
-                                "ResidualGbps": finite_or_max(probe.min_residual_gbps),
-                                "BlastRadius": probe.blast_radius,
-                            }),
-                            None => json!({"Error": format!("no healthy route {initiator} → {target}")}),
-                        }
+                        Self::probe_payload(&inner, initiator, target)
+                            .unwrap_or_else(|e| json!({"Error": e.to_string()}))
                     })
                     .collect();
                 Ok(AgentResponse {

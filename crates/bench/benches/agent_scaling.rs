@@ -1,9 +1,8 @@
 //! OFMF-B4: agent fan-out — discovery and zone-apply cost as the number of
 //! managed fabrics grows (the OFMF "is capable of interfacing with multiple
 //! fabric managers by means of a set of agents"), plus concurrent telemetry
-//! ingest throughput: the lock-striped series store (`sharded`, the
-//! default 16 stripes) against the single-lock layout (`with_shards(1)`,
-//! `global`) at 1/4/16 ingesting threads.
+//! ingest throughput of the lock-striped series store (`sharded`) at
+//! 1/4/16 ingesting threads.
 //!
 //! `OFMF_BENCH_QUICK=1` shrinks sample counts so CI can smoke-run the full
 //! harness in seconds.
@@ -120,44 +119,42 @@ fn bench_telemetry_ingest(c: &mut Criterion) {
     };
     for &threads in &[1usize, 4, 16] {
         group.throughput(Throughput::Elements((threads * ROUNDS * BATCH) as u64));
-        for (label, shards) in [("sharded", 16usize), ("global", 1)] {
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
-                let clock = Arc::new(Clock::manual());
-                let tel = Arc::new(TelemetryService::new(Arc::clone(&clock)).with_shards(shards));
-                // A realistic alerting config: one threshold rule per metric
-                // the fleet exposes (64 rules at 16 fabrics). Limits sit above
-                // every sample so the bench measures the check, not fan-out.
-                for t in 0..16 {
-                    for m in 0..4 {
-                        tel.add_threshold(Threshold {
-                            metric_id: format!("Fabric{t}Metric{m}"),
-                            upper: 1e12,
-                            severity: "Warning".to_string(),
-                        });
-                    }
+        group.bench_with_input(BenchmarkId::new("sharded", threads), &threads, |b, &threads| {
+            let clock = Arc::new(Clock::manual());
+            let tel = Arc::new(TelemetryService::new(Arc::clone(&clock)));
+            // A realistic alerting config: one threshold rule per metric
+            // the fleet exposes (64 rules at 16 fabrics). Limits sit above
+            // every sample so the bench measures the check, not fan-out.
+            for t in 0..16 {
+                for m in 0..4 {
+                    tel.add_threshold(Threshold {
+                        metric_id: format!("Fabric{t}Metric{m}"),
+                        upper: 1e12,
+                        severity: "Warning".to_string(),
+                    });
                 }
-                let ev = Arc::new(EventService::new(clock));
-                let batches = batches_for(threads);
-                b.iter(|| {
-                    let handles: Vec<_> = batches
-                        .iter()
-                        .map(|batch| {
-                            let tel = Arc::clone(&tel);
-                            let ev = Arc::clone(&ev);
-                            let batch = batch.clone();
-                            std::thread::spawn(move || {
-                                for _ in 0..ROUNDS {
-                                    std::hint::black_box(tel.ingest(&batch, &ev));
-                                }
-                            })
+            }
+            let ev = Arc::new(EventService::new(clock));
+            let batches = batches_for(threads);
+            b.iter(|| {
+                let handles: Vec<_> = batches
+                    .iter()
+                    .map(|batch| {
+                        let tel = Arc::clone(&tel);
+                        let ev = Arc::clone(&ev);
+                        let batch = batch.clone();
+                        std::thread::spawn(move || {
+                            for _ in 0..ROUNDS {
+                                std::hint::black_box(tel.ingest(&batch, &ev));
+                            }
                         })
-                        .collect();
-                    for h in handles {
-                        h.join().unwrap();
-                    }
-                });
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().unwrap();
+                }
             });
-        }
+        });
     }
     group.finish();
 }

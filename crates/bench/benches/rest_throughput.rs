@@ -4,7 +4,7 @@
 //! Two measurements:
 //!
 //! * A criterion group timing single-connection request kinds (plus the
-//!   observability and wire-cache ablations).
+//!   observability ablation).
 //! * A self-timed concurrency sweep pitting the epoll event loop against
 //!   the thread-pool baseline at 64–1024 concurrent keep-alive
 //!   connections, reporting aggregate req/s, how many of the clients were
@@ -101,19 +101,6 @@ fn bench_rest(c: &mut Criterion) {
         });
         drop(client);
         pool.shutdown();
-    });
-
-    // Wire-cache ablation: the same hot GET with the registry's ETag-keyed
-    // serialized-body cache disabled, so every request re-clones and
-    // re-serializes the document (the pre-cache behaviour).
-    group.bench_function("get_system_cache_off", |b| {
-        ofmf.registry.set_wire_cache(false);
-        let mut client = HttpClient::new(addr);
-        b.iter(|| {
-            let r = client.get("/redfish/v1/Systems/cn00").unwrap();
-            assert_eq!(r.status, 200);
-        });
-        ofmf.registry.set_wire_cache(true);
     });
 
     group.finish();

@@ -71,11 +71,11 @@ fn bench_tree_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// A tree with `n` systems spread across several top-level collections, on
-/// a registry with the given stripe count — the shape where sharding pays.
-fn striped_tree(n: usize, shards: usize) -> (Registry, Vec<ODataId>) {
+/// A tree with `n` systems spread across several top-level collections —
+/// the shape where lock striping pays.
+fn striped_tree(n: usize) -> (Registry, Vec<ODataId>) {
     const TOPS: &[&str] = &["Systems", "Chassis", "Fabrics", "StorageServices"];
-    let reg = Registry::with_shards(shards);
+    let reg = Registry::new();
     let root = ODataId::new("/redfish/v1");
     reg.create(&root, json!({"Name": "root"})).unwrap();
     for t in TOPS {
@@ -101,29 +101,22 @@ fn striped_tree(n: usize, shards: usize) -> (Registry, Vec<ODataId>) {
     (reg, ids)
 }
 
-/// The GET wire path under concurrent mixed read/write load, old design vs
-/// new: `global_uncached` is one lock stripe with the wire cache disabled
-/// (the previous single-`RwLock` registry), `sharded_cached` is 16 stripes
-/// with the ETag-keyed cache, and `sharded_cached_wal` is the same layout
-/// with a write-ahead journal attached (group-commit `batch:5` fsync) so
-/// every writer mutation also pays the durability path. Two background
+/// The GET wire path under concurrent mixed read/write load:
+/// `sharded_cached` is the in-memory registry, `sharded_cached_wal` the
+/// same with a write-ahead journal attached (group-commit `batch:5` fsync)
+/// so every writer mutation also pays the durability path. Two background
 /// writer threads continuously mount/tear down 32-resource subtrees under
 /// `Systems` while the measured thread serves hot GETs of other
 /// collections — agents churning inventory while managers browse. The
 /// durable-vs-in-memory gap (`sharded_cached_wal` vs `sharded_cached`) is
 /// the EXPERIMENTS.md "WAL overhead" row.
-fn bench_sharded_vs_global(c: &mut Criterion) {
+fn bench_mixed_rw(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
     const BATCH: usize = 1_000;
     let mut group = c.benchmark_group("tree_ops_mixed_rw");
     group.throughput(Throughput::Elements(BATCH as u64));
-    for &(shards, cache, wal, name) in &[
-        (1usize, false, false, "global_uncached"),
-        (16usize, true, false, "sharded_cached"),
-        (16usize, true, true, "sharded_cached_wal"),
-    ] {
-        let (reg, ids) = striped_tree(10_000, shards);
-        reg.set_wire_cache(cache);
+    for &(wal, name) in &[(false, "sharded_cached"), (true, "sharded_cached_wal")] {
+        let (reg, ids) = striped_tree(10_000);
         let wal_dir = std::env::temp_dir().join(format!("ofmf-bench-treeops-wal-{}", std::process::id()));
         if wal {
             let _ = std::fs::remove_dir_all(&wal_dir);
@@ -179,33 +172,6 @@ fn bench_sharded_vs_global(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serialized-bytes GET with the ETag-keyed wire cache on vs off (every GET
-/// pays a clone + `serde_json::to_vec` when off — the pre-cache behaviour).
-/// Each iteration sweeps a 64-resource hot set many times, the
-/// hot-collection traffic shape of telemetry consumers.
-fn bench_wire_cache(c: &mut Criterion) {
-    const BATCH: usize = 1_024;
-    let (reg, ids) = striped_tree(10_000, 16);
-    let mut group = c.benchmark_group("tree_ops_wire_cache");
-    group.throughput(Throughput::Elements(BATCH as u64));
-    for &on in &[true, false] {
-        reg.set_wire_cache(on);
-        let name = if on { "cache_on" } else { "cache_off" };
-        group.bench_function(name, |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                for _ in 0..BATCH {
-                    let id = &ids[i % 64]; // hot working set
-                    i += 1;
-                    std::hint::black_box(reg.wire_bytes(id).unwrap());
-                }
-            });
-        });
-    }
-    reg.set_wire_cache(true);
-    group.finish();
-}
-
 fn bench_concurrent_readers(c: &mut Criterion) {
     let (reg, ids) = tree_with(10_000);
     let reg = std::sync::Arc::new(reg);
@@ -231,11 +197,5 @@ fn bench_concurrent_readers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_tree_ops,
-    bench_concurrent_readers,
-    bench_sharded_vs_global,
-    bench_wire_cache
-);
+criterion_group!(benches, bench_tree_ops, bench_concurrent_readers, bench_mixed_rw);
 criterion_main!(benches);

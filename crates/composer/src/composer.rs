@@ -11,7 +11,7 @@ use crate::inventory::Inventory;
 use crate::policy::PolicySet;
 use crate::probe::Prober;
 use crate::request::{Binding, BindingKind, ComposedSystem, CompositionRequest};
-use crate::strategy::{choose_gpu_with, choose_memory_with, choose_storage_with, Strategy};
+use crate::strategy::{choose_gpu, choose_memory, choose_storage, Strategy};
 use ofmf_core::Ofmf;
 use ofmf_wal::WalRecord;
 use parking_lot::Mutex;
@@ -108,28 +108,6 @@ impl Composer {
     pub fn with_policy(mut self, policy: PolicySet) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Use the sequential per-candidate probing baseline instead of batched
-    /// parallel probing. Kept for A/B comparison in benches and property
-    /// tests, mirroring `EventService::with_linear_matching`.
-    #[must_use]
-    pub fn with_sequential_probing(mut self) -> Self {
-        self.prober = self.prober.with_sequential_probing();
-        self
-    }
-
-    /// Override the probing engine wholesale (benches swap in hop-count-only
-    /// scoring here).
-    #[must_use]
-    pub fn with_prober(mut self, prober: Prober) -> Self {
-        self.prober = prober;
-        self
-    }
-
-    /// The probing engine (test/bench observation).
-    pub fn prober(&self) -> &Prober {
-        &self.prober
     }
 
     /// The strategy in use.
@@ -239,7 +217,7 @@ impl Composer {
                     .filter(|p| self.policy.allows_carve(p, request.fabric_memory_mib))
                     .cloned()
                     .collect();
-                let (chosen, skipped) = choose_memory_with(
+                let (chosen, skipped) = choose_memory(
                     &self.prober,
                     self.strategy,
                     &eligible,
@@ -266,7 +244,7 @@ impl Composer {
 
         let mut gpus = inv.gpus.clone();
         for _ in 0..request.gpus {
-            let (picked, skipped) = choose_gpu_with(&self.prober, self.strategy, &gpus, &self.ofmf, &node.endpoints);
+            let (picked, skipped) = choose_gpu(&self.prober, self.strategy, &gpus, &self.ofmf, &node.endpoints);
             note_skipped_fabrics(&skipped);
             let chosen = picked
                 .ok_or_else(|| RedfishError::InsufficientResources("no free GPU".into()))?
@@ -279,7 +257,7 @@ impl Composer {
         }
 
         if request.storage_bytes > 0 {
-            let (chosen, skipped) = choose_storage_with(
+            let (chosen, skipped) = choose_storage(
                 &self.prober,
                 self.strategy,
                 &inv.storage,
@@ -572,7 +550,7 @@ impl Composer {
             .filter(|p| self.policy.allows_carve(p, extra_mib))
             .cloned()
             .collect();
-        let (chosen, skipped) = choose_memory_with(
+        let (chosen, skipped) = choose_memory(
             &self.prober,
             self.strategy,
             &eligible,
@@ -652,7 +630,7 @@ impl Composer {
         };
         let node_endpoints = Self::endpoints_of(&self.ofmf, &node);
         let inv = Inventory::scan(&self.ofmf, &[]);
-        let (chosen, skipped) = choose_storage_with(
+        let (chosen, skipped) = choose_storage(
             &self.prober,
             self.strategy,
             &inv.storage,

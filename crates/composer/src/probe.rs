@@ -50,18 +50,6 @@ pub struct RouteScore {
     pub blast_radius: u64,
 }
 
-/// How probed candidates are ranked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreMode {
-    /// Congestion-aware: widest residual first, then hops, then blast
-    /// radius, then tightest fit.
-    #[default]
-    Congestion,
-    /// Legacy hop-count-only ranking (A/B baseline for benches): hops, then
-    /// tightest fit.
-    HopsOnly,
-}
-
 struct ProbeMetrics {
     batches: Arc<ofmf_obs::Counter>,
     pairs: Arc<ofmf_obs::Counter>,
@@ -89,55 +77,17 @@ struct FabricCache {
     scores: BTreeMap<(ODataId, ODataId), Option<RouteScore>>,
 }
 
-/// The probing engine: owns the per-fabric result cache and the dispatch
-/// policy (batched-parallel vs sequential per-candidate baseline).
+/// The probing engine: owns the per-fabric result cache and dispatches
+/// one batched probe per fabric, fabrics in parallel.
+#[derive(Default)]
 pub struct Prober {
     cache: Mutex<BTreeMap<String, FabricCache>>,
-    sequential: bool,
-    mode: ScoreMode,
-}
-
-impl Default for Prober {
-    fn default() -> Self {
-        Prober::new()
-    }
 }
 
 impl Prober {
-    /// Batched-parallel, congestion-aware prober (production default).
+    /// A prober with an empty cache.
     pub fn new() -> Self {
-        Prober {
-            cache: Mutex::new(BTreeMap::new()),
-            sequential: false,
-            mode: ScoreMode::Congestion,
-        }
-    }
-
-    /// Switch to the sequential per-candidate baseline (one `ProbeRoute`
-    /// round-trip per uncached candidate, no cross-fabric parallelism).
-    /// Kept for A/B comparison, like `EventService::with_linear_matching`.
-    #[must_use]
-    pub fn with_sequential_probing(mut self) -> Self {
-        self.sequential = true;
-        self
-    }
-
-    /// Override the ranking mode (benches compare congestion-aware against
-    /// the legacy hop-count-only ranking).
-    #[must_use]
-    pub fn with_score_mode(mut self, mode: ScoreMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Whether this prober runs the sequential baseline.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
-    }
-
-    /// The ranking mode in use.
-    pub fn score_mode(&self) -> ScoreMode {
-        self.mode
+        Prober::default()
     }
 
     /// Drop cached results for one fabric (the composer calls this after
@@ -149,11 +99,6 @@ impl Prober {
     /// Drop the whole cache.
     pub fn invalidate_all(&self) {
         self.cache.lock().clear();
-    }
-
-    /// Cached pair count for a fabric (test observation).
-    pub fn cached_pairs(&self, fabric: &str) -> usize {
-        self.cache.lock().get(fabric).map(|c| c.scores.len()).unwrap_or(0)
     }
 
     /// Probe `(fabric, initiator, target)` triples, returning one score slot
@@ -194,78 +139,34 @@ impl Prober {
             return (results.into_iter().map(|r| r.unwrap_or(None)).collect(), Vec::new());
         }
 
-        // Phase 2: dispatch. Batched mode sends one ProbeRoutes per fabric,
-        // all fabrics in parallel; sequential baseline sends one ProbeRoute
-        // per pair, one after another.
+        // Phase 2: dispatch one ProbeRoutes per fabric, all fabrics in
+        // parallel.
         let mut failed_fabrics: Vec<String> = Vec::new();
         let mut fresh: BTreeMap<String, FreshBatch> = BTreeMap::new();
-        if self.sequential {
-            for (fabric, pairs) in &misses {
-                let mut scored = Vec::with_capacity(pairs.len());
-                let mut generation = 0u64;
-                let mut fabric_ok = false;
-                for (ini, tgt) in pairs {
-                    m.batches.inc();
-                    m.pairs.inc();
-                    let resp = ofmf.apply(
-                        fabric,
-                        &AgentOp::ProbeRoute {
-                            initiator: ini.clone(),
-                            target: tgt.clone(),
-                        },
-                    );
-                    match resp {
-                        Ok(r) => {
-                            fabric_ok = true;
-                            if let Some(p) = r.payload.as_ref() {
-                                if let Some(g) = p.get("TopologyGeneration").and_then(Value::as_u64) {
-                                    generation = g;
-                                }
-                            }
-                            scored.push(((ini.clone(), tgt.clone()), score_from_payload(r.payload.as_ref())));
-                        }
-                        // Conflict = "no healthy route": a real answer, cacheable.
-                        Err(redfish_model::RedfishError::Conflict(_)) => {
-                            fabric_ok = true;
-                            scored.push(((ini.clone(), tgt.clone()), None));
-                        }
-                        Err(_) => {
-                            m.failed.inc();
-                        }
-                    }
-                }
-                if fabric_ok {
+        let ops: Vec<(String, AgentOp)> = misses
+            .iter()
+            .map(|(fabric, pairs)| (fabric.clone(), AgentOp::ProbeRoutes { pairs: pairs.clone() }))
+            .collect();
+        m.batches.add(ops.len() as u64);
+        m.pairs.add(misses.values().map(|p| p.len() as u64).sum());
+        let responses = ofmf.apply_parallel(&ops);
+        for ((fabric, pairs), resp) in misses.iter().zip(responses) {
+            match resp {
+                Ok(r) => {
+                    let payload = r.payload.unwrap_or(Value::Null);
+                    let generation = payload.get("TopologyGeneration").and_then(Value::as_u64).unwrap_or(0);
+                    let empty = Vec::new();
+                    let entries = payload.get("Results").and_then(Value::as_array).unwrap_or(&empty);
+                    let scored = pairs
+                        .iter()
+                        .enumerate()
+                        .map(|(j, key)| (key.clone(), score_from_payload(entries.get(j))))
+                        .collect();
                     fresh.insert(fabric.clone(), (generation, scored));
-                } else {
-                    failed_fabrics.push(fabric.clone());
                 }
-            }
-        } else {
-            let ops: Vec<(String, AgentOp)> = misses
-                .iter()
-                .map(|(fabric, pairs)| (fabric.clone(), AgentOp::ProbeRoutes { pairs: pairs.clone() }))
-                .collect();
-            m.batches.add(ops.len() as u64);
-            m.pairs.add(misses.values().map(|p| p.len() as u64).sum());
-            let responses = ofmf.apply_parallel(&ops);
-            for ((fabric, pairs), resp) in misses.iter().zip(responses) {
-                match resp {
-                    Ok(r) => {
-                        let payload = r.payload.unwrap_or(Value::Null);
-                        let generation = payload.get("TopologyGeneration").and_then(Value::as_u64).unwrap_or(0);
-                        let empty = Vec::new();
-                        let entries = payload.get("Results").and_then(Value::as_array).unwrap_or(&empty);
-                        let scored = pairs
-                            .iter()
-                            .enumerate()
-                            .map(|(j, key)| (key.clone(), score_from_payload(entries.get(j))))
-                            .collect();
-                        fresh.insert(fabric.clone(), (generation, scored));
-                    }
-                    Err(_) => {
-                        m.failed.inc();
-                        failed_fabrics.push(fabric.clone());
-                    }
+                Err(_) => {
+                    m.failed.inc();
+                    failed_fabrics.push(fabric.clone());
                 }
             }
         }
@@ -342,24 +243,19 @@ pub struct Selection {
     pub skipped_fabrics: Vec<String>,
 }
 
-/// Rank probed candidates: congestion-aware order is `(residual desc, hops
-/// asc, blast asc, free asc, index asc)`; hop-count-only drops the
-/// congestion terms (legacy ranking). `total_cmp` keeps the order total
-/// (and therefore the pick deterministic) even for degenerate scores.
-fn better(mode: ScoreMode, a: (&RouteScore, u64, usize), b: (&RouteScore, u64, usize)) -> bool {
+/// Rank probed candidates by `(residual desc, hops asc, blast asc, free
+/// asc, index asc)`. `total_cmp` keeps the order total (and therefore the
+/// pick deterministic) even for degenerate scores.
+fn better(a: (&RouteScore, u64, usize), b: (&RouteScore, u64, usize)) -> bool {
     let (sa, free_a, ia) = a;
     let (sb, free_b, ib) = b;
-    let ord = match mode {
-        ScoreMode::Congestion => sb
-            .residual_gbps
-            .total_cmp(&sa.residual_gbps)
-            .then(sa.hops.cmp(&sb.hops))
-            .then(sa.blast_radius.cmp(&sb.blast_radius))
-            .then(free_a.cmp(&free_b))
-            .then(ia.cmp(&ib)),
-        ScoreMode::HopsOnly => sa.hops.cmp(&sb.hops).then(free_a.cmp(&free_b)).then(ia.cmp(&ib)),
-    };
-    ord == std::cmp::Ordering::Less
+    sb.residual_gbps
+        .total_cmp(&sa.residual_gbps)
+        .then(sa.hops.cmp(&sb.hops))
+        .then(sa.blast_radius.cmp(&sb.blast_radius))
+        .then(free_a.cmp(&free_b))
+        .then(ia.cmp(&ib))
+        == std::cmp::Ordering::Less
 }
 
 /// Probe every candidate through `prober` and pick the congestion-aware
@@ -388,7 +284,6 @@ pub fn choose_probed(
         };
     }
     let (scores, skipped_fabrics) = prober.probe_pairs(ofmf, &requests);
-    let mode = prober.score_mode();
     let mut best_probed: Option<(RouteScore, u64, usize)> = None;
     let mut best_unprobed: Option<usize> = None;
     for (pos, (cand, score)) in candidates.iter().zip(&scores).enumerate() {
@@ -397,7 +292,7 @@ pub fn choose_probed(
                 let challenger = (s, cand.free, pos);
                 let wins = match &best_probed {
                     None => true,
-                    Some((bs, bf, bp)) => better(mode, challenger, (bs, *bf, *bp)),
+                    Some((bs, bf, bp)) => better(challenger, (bs, *bf, *bp)),
                 };
                 if wins {
                     best_probed = Some((*s, cand.free, pos));

@@ -11,10 +11,8 @@
 //!   uncached candidates are probed in one batched round-trip per fabric,
 //!   fabrics in parallel, behind a generation-keyed result cache.
 //!
-//! The three `choose_*` entry points here keep their original signatures and
-//! run against an ephemeral prober (no cache reuse across calls); the
-//! composer itself holds a long-lived [`Prober`] and calls the `*_with`
-//! variants so repeated composes hit the cache.
+//! The three `choose_*` entry points take the caller's long-lived
+//! [`Prober`], so repeated composes hit its cache.
 
 use crate::inventory::{GpuPool, MemoryPool, StoragePoolView};
 use crate::probe::{choose_probed, Candidate, Prober};
@@ -58,21 +56,40 @@ impl Strategy {
     }
 }
 
-/// Choose a memory pool for `size_mib`, honoring the strategy. `initiator`
-/// maps fabric id → the compute node's endpoint on that fabric.
-pub fn choose_memory<'a>(
-    strategy: Strategy,
-    pools: &'a [MemoryPool],
-    size_mib: u64,
+/// The `TopologyAware` pick: probe every pool that `fits` and take the
+/// scored winner. `facts` yields a pool's `(fabric, endpoint, free
+/// capacity)`; free capacity feeds the tightest-fit tie-break.
+fn pick_probed<'a, P>(
+    prober: &Prober,
     ofmf: &Ofmf,
     initiator_by_fabric: &BTreeMap<String, ODataId>,
-) -> Option<&'a MemoryPool> {
-    choose_memory_with(&Prober::new(), strategy, pools, size_mib, ofmf, initiator_by_fabric).0
+    pools: &'a [P],
+    fits: impl Fn(&&P) -> bool,
+    facts: impl Fn(&P) -> (&str, &ODataId, u64),
+) -> (Option<&'a P>, Vec<String>) {
+    let candidates: Vec<Candidate> = pools
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| fits(p))
+        .map(|(i, p)| {
+            let (fabric, endpoint, free) = facts(p);
+            Candidate {
+                index: i,
+                fabric: fabric.to_string(),
+                endpoint: endpoint.clone(),
+                free,
+            }
+        })
+        .collect();
+    let sel = choose_probed(prober, ofmf, initiator_by_fabric, &candidates);
+    (sel.index.and_then(|i| pools.get(i)), sel.skipped_fabrics)
 }
 
-/// [`choose_memory`] against a caller-owned [`Prober`] (cache reuse across
-/// composes). Also reports fabrics skipped because their probe batch failed.
-pub fn choose_memory_with<'a>(
+/// Choose a memory pool for `size_mib`, honoring the strategy.
+/// `initiator_by_fabric` maps fabric id → the compute node's endpoint on
+/// that fabric. Also reports fabrics skipped because their probe batch
+/// failed.
+pub fn choose_memory<'a>(
     prober: &Prober,
     strategy: Strategy,
     pools: &'a [MemoryPool],
@@ -84,38 +101,14 @@ pub fn choose_memory_with<'a>(
     match strategy {
         Strategy::FirstFit => (pools.iter().find(fits), Vec::new()),
         Strategy::BestFit => (pools.iter().filter(fits).min_by_key(|p| p.free_mib), Vec::new()),
-        Strategy::TopologyAware => {
-            let candidates: Vec<Candidate> = pools
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| fits(p))
-                .map(|(i, p)| Candidate {
-                    index: i,
-                    fabric: p.fabric.clone(),
-                    endpoint: p.endpoint.clone(),
-                    free: p.free_mib,
-                })
-                .collect();
-            let sel = choose_probed(prober, ofmf, initiator_by_fabric, &candidates);
-            // ofmf-lint: allow(no-panic-path, "Selection.index came from enumerate() over these same pools")
-            (sel.index.map(|i| &pools[i]), sel.skipped_fabrics)
-        }
+        Strategy::TopologyAware => pick_probed(prober, ofmf, initiator_by_fabric, pools, fits, |p| {
+            (p.fabric.as_str(), &p.endpoint, p.free_mib)
+        }),
     }
 }
 
 /// Choose a storage pool for `bytes`.
 pub fn choose_storage<'a>(
-    strategy: Strategy,
-    pools: &'a [StoragePoolView],
-    bytes: u64,
-    ofmf: &Ofmf,
-    initiator_by_fabric: &BTreeMap<String, ODataId>,
-) -> Option<&'a StoragePoolView> {
-    choose_storage_with(&Prober::new(), strategy, pools, bytes, ofmf, initiator_by_fabric).0
-}
-
-/// [`choose_storage`] against a caller-owned [`Prober`].
-pub fn choose_storage_with<'a>(
     prober: &Prober,
     strategy: Strategy,
     pools: &'a [StoragePoolView],
@@ -127,37 +120,14 @@ pub fn choose_storage_with<'a>(
     match strategy {
         Strategy::FirstFit => (pools.iter().find(fits), Vec::new()),
         Strategy::BestFit => (pools.iter().filter(fits).min_by_key(|p| p.free_bytes), Vec::new()),
-        Strategy::TopologyAware => {
-            let candidates: Vec<Candidate> = pools
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| fits(p))
-                .map(|(i, p)| Candidate {
-                    index: i,
-                    fabric: p.fabric.clone(),
-                    endpoint: p.endpoint.clone(),
-                    free: p.free_bytes,
-                })
-                .collect();
-            let sel = choose_probed(prober, ofmf, initiator_by_fabric, &candidates);
-            // ofmf-lint: allow(no-panic-path, "Selection.index came from enumerate() over these same pools")
-            (sel.index.map(|i| &pools[i]), sel.skipped_fabrics)
-        }
+        Strategy::TopologyAware => pick_probed(prober, ofmf, initiator_by_fabric, pools, fits, |p| {
+            (p.fabric.as_str(), &p.endpoint, p.free_bytes)
+        }),
     }
 }
 
 /// Choose an unassigned GPU.
 pub fn choose_gpu<'a>(
-    strategy: Strategy,
-    pools: &'a [GpuPool],
-    ofmf: &Ofmf,
-    initiator_by_fabric: &BTreeMap<String, ODataId>,
-) -> Option<&'a GpuPool> {
-    choose_gpu_with(&Prober::new(), strategy, pools, ofmf, initiator_by_fabric).0
-}
-
-/// [`choose_gpu`] against a caller-owned [`Prober`].
-pub fn choose_gpu_with<'a>(
     prober: &Prober,
     strategy: Strategy,
     pools: &'a [GpuPool],
@@ -169,22 +139,9 @@ pub fn choose_gpu_with<'a>(
         // Whole-device grants have no "tightness", so BestFit degenerates to
         // FirstFit (unchanged from the pre-pipeline behavior).
         Strategy::FirstFit | Strategy::BestFit => (pools.iter().find(fits), Vec::new()),
-        Strategy::TopologyAware => {
-            let candidates: Vec<Candidate> = pools
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| fits(p))
-                .map(|(i, p)| Candidate {
-                    index: i,
-                    fabric: p.fabric.clone(),
-                    endpoint: p.endpoint.clone(),
-                    free: 0,
-                })
-                .collect();
-            let sel = choose_probed(prober, ofmf, initiator_by_fabric, &candidates);
-            // ofmf-lint: allow(no-panic-path, "Selection.index came from enumerate() over these same pools")
-            (sel.index.map(|i| &pools[i]), sel.skipped_fabrics)
-        }
+        Strategy::TopologyAware => pick_probed(prober, ofmf, initiator_by_fabric, pools, fits, |p| {
+            (p.fabric.as_str(), &p.endpoint, 0)
+        }),
     }
 }
 
@@ -217,6 +174,12 @@ mod tests {
         m
     }
 
+    /// A 40 MiB pick from `pools` for a node whose only endpoint is on
+    /// `fabric`, with no agent behind it.
+    fn pick<'a>(strategy: Strategy, pools: &'a [MemoryPool], fabric: &str) -> Option<&'a MemoryPool> {
+        choose_memory(&Prober::new(), strategy, pools, 40, &no_ofmf(), &ini_map(fabric)).0
+    }
+
     #[test]
     fn first_fit_takes_first_that_fits() {
         let pools = vec![
@@ -224,9 +187,7 @@ mod tests {
             pool("F", "b", 100, 50),
             pool("F", "c", 100, 90),
         ];
-        let o = no_ofmf();
-        let chosen = choose_memory(Strategy::FirstFit, &pools, 40, &o, &ini_map("F")).unwrap();
-        assert_eq!(chosen.domain, pools[1].domain);
+        assert_eq!(pick(Strategy::FirstFit, &pools, "F").unwrap().domain, pools[1].domain);
     }
 
     #[test]
@@ -236,25 +197,21 @@ mod tests {
             pool("F", "b", 100, 45),
             pool("F", "c", 100, 50),
         ];
-        let o = no_ofmf();
-        let chosen = choose_memory(Strategy::BestFit, &pools, 40, &o, &ini_map("F")).unwrap();
-        assert_eq!(chosen.domain, pools[1].domain);
+        assert_eq!(pick(Strategy::BestFit, &pools, "F").unwrap().domain, pools[1].domain);
     }
 
     #[test]
     fn nothing_fits_returns_none() {
         let pools = vec![pool("F", "a", 100, 10)];
-        let o = no_ofmf();
-        assert!(choose_memory(Strategy::FirstFit, &pools, 40, &o, &ini_map("F")).is_none());
-        assert!(choose_memory(Strategy::BestFit, &pools, 40, &o, &ini_map("F")).is_none());
+        assert!(pick(Strategy::FirstFit, &pools, "F").is_none());
+        assert!(pick(Strategy::BestFit, &pools, "F").is_none());
     }
 
     #[test]
     fn pools_on_unreachable_fabrics_are_skipped() {
         // Initiator only has an endpoint on fabric G; pool is on F.
         let pools = vec![pool("F", "a", 100, 90)];
-        let o = no_ofmf();
-        assert!(choose_memory(Strategy::FirstFit, &pools, 40, &o, &ini_map("G")).is_none());
+        assert!(pick(Strategy::FirstFit, &pools, "G").is_none());
     }
 
     #[test]
@@ -267,8 +224,8 @@ mod tests {
         };
         let pools = vec![mk("g0", true), mk("g1", false)];
         let o = no_ofmf();
-        let chosen = choose_gpu(Strategy::FirstFit, &pools, &o, &ini_map("F")).unwrap();
-        assert_eq!(chosen.processor.as_str(), "/p/g1");
+        let (chosen, _) = choose_gpu(&Prober::new(), Strategy::FirstFit, &pools, &o, &ini_map("F"));
+        assert_eq!(chosen.unwrap().processor.as_str(), "/p/g1");
     }
 
     #[test]
@@ -280,7 +237,7 @@ mod tests {
         let pools = vec![pool("F", "a", 100, 90), pool("F", "b", 100, 50)];
         let o = no_ofmf();
         let prober = Prober::new();
-        let (chosen, skipped) = choose_memory_with(&prober, Strategy::TopologyAware, &pools, 40, &o, &ini_map("F"));
+        let (chosen, skipped) = choose_memory(&prober, Strategy::TopologyAware, &pools, 40, &o, &ini_map("F"));
         assert_eq!(chosen.unwrap().domain, pools[0].domain);
         assert_eq!(skipped, vec!["F".to_string()]);
     }

@@ -1,13 +1,20 @@
-//! Property tests: policy arithmetic, accounting bounds, and the composer's
-//! conservation law (compose ∘ decompose = identity on the inventory).
+//! Property tests: policy arithmetic, accounting bounds, the composer's
+//! conservation law (compose ∘ decompose = identity on the inventory), and
+//! batched probing against a one-probe-per-pair reference.
 
 use composer::accounting::{composable_outcome, heterogeneous_mix, static_outcome, PowerModel, StaticNodeShape};
 use composer::inventory::MemoryPool;
 use composer::policy::PolicySet;
+use composer::probe::{Prober, RouteScore};
 use composer::{Composer, CompositionRequest, Strategy};
+use fabric_sim::failure::Fault;
+use fabric_sim::ids::DeviceId;
 use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
+use ofmf_agents::SimAgent;
+use ofmf_core::agent::AgentOp;
 use proptest::prelude::*;
 use redfish_model::odata::ODataId;
+use redfish_model::RedfishError;
 use std::sync::Arc;
 
 fn demo_rig(seed: u64) -> DemoRig {
@@ -98,57 +105,100 @@ proptest! {
     }
 }
 
-/// Three memory fabrics plus GPUs: one topology-aware choose fans a probe
-/// batch out across all three in parallel.
-fn ab_rig(seed: u64) -> Arc<ofmf_core::Ofmf> {
-    let ofmf = ofmf_core::Ofmf::new("prop-ab-rig", std::collections::HashMap::new(), seed);
+const PROBE_FABRICS: [&str; 3] = ["CXL0", "CXL1", "CXL2"];
+
+/// Three memory fabrics, so one `probe_pairs` call fans batches out across
+/// all of them in parallel. The agents are returned for fault injection.
+fn probe_rig(seed: u64) -> (Arc<ofmf_core::Ofmf>, Vec<Arc<SimAgent>>) {
+    let ofmf = ofmf_core::Ofmf::new("prop-probe-rig", std::collections::HashMap::new(), seed);
     let shape = RackShape::default();
-    for (fid, salt) in [("CXL0", 1u64), ("CXL1", 2), ("CXL2", 3)] {
-        ofmf.register_agent(Arc::new(cxl_agent(fid, &shape, 1 << 20, seed ^ salt)))
-            .unwrap();
+    let agents: Vec<Arc<SimAgent>> = PROBE_FABRICS
+        .iter()
+        .zip(1u64..)
+        .map(|(fid, salt)| Arc::new(cxl_agent(fid, &shape, 1 << 20, seed ^ salt)))
+        .collect();
+    for a in &agents {
+        ofmf.register_agent(Arc::clone(a) as Arc<dyn ofmf_core::Agent>).unwrap();
     }
-    ofmf.register_agent(Arc::new(infiniband_agent("IB0", &shape, "A100", seed ^ 4)))
-        .unwrap();
-    ofmf
+    (ofmf, agents)
+}
+
+/// The reference `probe_pairs` is checked against: one supervised
+/// `ProbeRoute` round-trip per pair, one after another. `Conflict` is the
+/// agent's "no healthy route" answer and maps to an empty slot.
+fn probe_one_by_one(ofmf: &ofmf_core::Ofmf, requests: &[(String, ODataId, ODataId)]) -> Vec<Option<RouteScore>> {
+    requests
+        .iter()
+        .map(|(fabric, ini, tgt)| {
+            let op = AgentOp::ProbeRoute {
+                initiator: ini.clone(),
+                target: tgt.clone(),
+            };
+            match ofmf.apply(fabric, &op) {
+                Ok(r) => {
+                    let p = r.payload.expect("probe payload");
+                    Some(RouteScore {
+                        hops: p["Hops"].as_u64().expect("Hops"),
+                        residual_gbps: p["ResidualGbps"].as_f64().expect("ResidualGbps"),
+                        blast_radius: p["BlastRadius"].as_u64().expect("BlastRadius"),
+                    })
+                }
+                Err(RedfishError::Conflict(_)) => None,
+                Err(e) => panic!("reference probe failed: {e}"),
+            }
+        })
+        .collect()
 }
 
 proptest! {
-    // The live-stack property is expensive; fewer cases.
+    // The live-stack properties are expensive; fewer cases.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Batched parallel probing is a pure performance optimization: for any
-    /// request mix against twin rigs under the same (uniform) congestion,
-    /// the batched composer and the sequential per-candidate baseline make
-    /// identical placement decisions and leave identical fabric state.
+    /// Batched probing is a pure transport optimization: for any pair list
+    /// (duplicates included) `probe_pairs` fills every slot with exactly
+    /// what one supervised `ProbeRoute` per pair reports, an unroutable
+    /// pair is an empty slot rather than a failed fabric, and a second call
+    /// is answered from the cache without asking the agents again.
     #[test]
-    fn batched_probing_places_like_sequential_baseline(
-        mems in prop::collection::vec(64u64..2048, 1..5),
-        bw in 0.0f64..32.0,
-        gpus in 0u32..2,
+    fn probe_pairs_matches_one_supervised_probe_per_pair(
+        picks in prop::collection::vec((0usize..3, 0usize..4, 0usize..2), 1..12),
+        dead in (0usize..3, 0usize..2),
     ) {
-        let batched = Composer::new(ab_rig(4242), Strategy::TopologyAware);
-        let sequential = Composer::new(ab_rig(4242), Strategy::TopologyAware).with_sequential_probing();
-        prop_assert!(!batched.prober().is_sequential());
-        prop_assert!(sequential.prober().is_sequential());
-        for (i, &m) in mems.iter().enumerate() {
-            let mut req = CompositionRequest::compute_only(&format!("ab{i}"), 8, 8)
-                .with_fabric_memory_mib(m)
-                .with_memory_bandwidth_gbps(bw);
-            if i == 0 {
-                req = req.with_gpus(gpus).with_gpu_bandwidth_gbps(bw);
-            }
-            let key = |c: &composer::ComposedSystem| {
-                c.bindings
-                    .iter()
-                    .map(|b| (b.fabric.clone(), b.resource.as_str().to_string(), b.size))
-                    .collect::<Vec<_>>()
-            };
-            match (batched.compose(&req), sequential.compose(&req)) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(key(&a), key(&b), "request {}", i),
-                (Err(a), Err(b)) => prop_assert_eq!(a.http_status(), b.http_status()),
-                (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a.map(|c| key(&c)), b.map(|c| key(&c))),
-            }
-        }
+        let (ofmf, agents) = probe_rig(4242);
+        let shape = RackShape::default();
+        let request = |(f, node, target): (usize, usize, usize)| {
+            (
+                PROBE_FABRICS[f].to_string(),
+                agents[f].endpoint_id(&format!("cn{node:02}")),
+                agents[f].endpoint_id(&format!("mem{target:02}")),
+            )
+        };
+        // One appliance is down, and a pair that needs it is always asked
+        // for. Devices are numbered compute nodes first, then appliances.
+        let dead_device = DeviceId((shape.compute_nodes + dead.1) as u32);
+        agents[dead.0].inject_fault(Fault::DeviceDown(dead_device));
+        let mut requests: Vec<_> = picks.into_iter().map(request).collect();
+        requests.push(request((dead.0, 0, dead.1)));
+
+        let prober = Prober::new();
+        let expected = probe_one_by_one(&ofmf, &requests);
+        prop_assert_eq!(expected.last(), Some(&None), "the dead appliance is unroutable");
+        let (cold, failed) = prober.probe_pairs(&ofmf, &requests);
+        prop_assert!(failed.is_empty(), "an unroutable pair must not fail its fabric: {:?}", failed);
+        prop_assert_eq!(&cold, &expected);
+
+        // Warm: the appliance comes back, but nothing invalidated the
+        // cache, so an answer identical to the cold one proves no agent
+        // was asked.
+        agents[dead.0].inject_fault(Fault::DeviceUp(dead_device));
+        let (warm, failed) = prober.probe_pairs(&ofmf, &requests);
+        prop_assert!(failed.is_empty());
+        prop_assert_eq!(&warm, &cold);
+
+        prober.invalidate_fabric(PROBE_FABRICS[dead.0]);
+        let (fresh, _) = prober.probe_pairs(&ofmf, &requests);
+        prop_assert_eq!(&fresh, &probe_one_by_one(&ofmf, &requests));
+        prop_assert!(fresh.iter().all(Option::is_some), "every pair routes once the appliance is back");
     }
 
     /// Conservation: for any satisfiable request mix, composing then

@@ -18,8 +18,7 @@
 //!   subscribers instead of scanning every subscription. Subscriptions with
 //!   no origin filter (or a filter at/above the service root) land in a
 //!   per-type wildcard list. The index is maintained incrementally on
-//!   subscribe/unsubscribe; [`EventService::with_linear_matching`] restores
-//!   the old full-scan behavior for A/B benchmarking.
+//!   subscribe/unsubscribe.
 //! * **Shared zero-copy batches.** One fan-out allocates a single
 //!   `Arc<[EventRecord]>` plus a single lazily-serialized wire body
 //!   ([`SharedEventBody`]); every subscriber's queue receives a cheap
@@ -33,7 +32,7 @@ use ofmf_obs::{Counter, Histogram};
 use ofmf_wal::{Wal, WalRecord};
 use parking_lot::RwLock;
 use redfish_model::odata::ODataId;
-use redfish_model::path::top;
+use redfish_model::path::{top, top_segment};
 use redfish_model::resources::events::{EventDestination, EventEnvelope, EventRecord, EventType, SharedEventBody};
 use redfish_model::resources::Resource;
 use redfish_model::{RedfishError, RedfishResult, Registry};
@@ -54,6 +53,41 @@ struct Subscription {
     drop_alerted: AtomicBool,
 }
 
+impl Subscription {
+    /// A fresh subscription with an empty `depth`-bounded delivery queue.
+    fn open(id: &str, dest: EventDestination, depth: usize) -> (Arc<Self>, Receiver<EventEnvelope>) {
+        let (tx, rx) = bounded(depth);
+        let sub = Subscription {
+            id: id.to_string(),
+            dest,
+            tx,
+            dropped: AtomicU64::new(0),
+            drop_alerted: AtomicBool::new(false),
+        };
+        (Arc::new(sub), rx)
+    }
+
+    /// The journal record that re-creates this subscription on replay.
+    fn journal_record(&self) -> WalRecord {
+        WalRecord::Subscribe {
+            id: self.id.clone(),
+            destination: self.dest.destination.clone(),
+            event_types: self
+                .dest
+                .event_types
+                .iter()
+                .map(|t| event_type_label(*t).to_string())
+                .collect(),
+            origins: self
+                .dest
+                .origin_resources
+                .iter()
+                .map(|l| l.odata_id.as_str().to_string())
+                .collect(),
+        }
+    }
+}
+
 struct EventMetrics {
     /// `ofmf.events.fanout.latency_ns`
     fanout_latency: Arc<Histogram>,
@@ -67,7 +101,7 @@ struct EventMetrics {
     /// indexed fan-outs (match checks actually performed).
     index_candidates: Arc<Counter>,
     /// `ofmf.events.index.skipped.total` — subscriptions the index proved
-    /// irrelevant without a match check (the scan work saved vs linear).
+    /// irrelevant without a match check (the scan work saved vs a full scan).
     index_skipped: Arc<Counter>,
 }
 
@@ -122,19 +156,6 @@ fn type_index(t: EventType) -> usize {
     }
 }
 
-/// The routing key of an origin path: its top-level collection segment
-/// (`Systems`, `Fabrics`, …) — the same scheme the registry shards on.
-/// Root documents key to the empty string (they span every segment).
-fn origin_key(path: &str) -> &str {
-    if let Some(rest) = path.strip_prefix("/redfish/v1/") {
-        rest.split('/').next().unwrap_or("")
-    } else if path == "/redfish/v1" || path == "/redfish" || path == "/" {
-        ""
-    } else {
-        path.trim_start_matches('/').split('/').next().unwrap_or("")
-    }
-}
-
 /// Bucket indices a subscription's type filter occupies (all six for a
 /// wildcard filter).
 fn type_slots(dest: &EventDestination) -> Vec<usize> {
@@ -148,7 +169,8 @@ fn type_slots(dest: &EventDestination) -> Vec<usize> {
     }
 }
 
-/// Distinct routing keys of a subscription's origin filters; `None` means
+/// Distinct routing keys ([`top_segment`], the scheme the registry stripes
+/// on) of a subscription's origin filters; `None` means
 /// the subscription is a candidate for every origin (no filter, or a filter
 /// at/above the service root whose subtree spans every top-level segment).
 fn origin_keys(dest: &EventDestination) -> Option<Vec<String>> {
@@ -157,7 +179,7 @@ fn origin_keys(dest: &EventDestination) -> Option<Vec<String>> {
     }
     let mut keys: Vec<String> = Vec::with_capacity(dest.origin_resources.len());
     for l in &dest.origin_resources {
-        let k = origin_key(l.odata_id.as_str());
+        let k = top_segment(l.odata_id.as_str());
         if k.is_empty() {
             return None;
         }
@@ -240,8 +262,6 @@ pub struct EventService {
     next_sub: AtomicU64,
     next_event: AtomicU64,
     queue_depth: usize,
-    /// Ablation switch: scan every subscription instead of the index.
-    linear: bool,
     /// Durability journal. Subscribe/unsubscribe records are appended while
     /// the subscription-table lock is held, so replay order matches live
     /// order. Lock order: subs → WAL file mutex (leaf).
@@ -257,7 +277,6 @@ impl EventService {
             next_sub: AtomicU64::new(1),
             next_event: AtomicU64::new(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            linear: false,
             journal: RwLock::new(None),
         }
     }
@@ -279,14 +298,6 @@ impl EventService {
         self
     }
 
-    /// Disable the routing index: fan-out scans every subscription, exactly
-    /// as before the index existed. For A/B benchmarking and equivalence
-    /// tests; delivery semantics are identical.
-    pub fn with_linear_matching(mut self) -> Self {
-        self.linear = true;
-        self
-    }
-
     /// Create a subscription. Registers the `EventDestination` resource in
     /// `reg` and returns `(subscription id, delivery receiver)`. Atomic with
     /// respect to the registry: if resource creation fails, the service's
@@ -302,32 +313,10 @@ impl EventService {
         let subs_col = ODataId::new(top::SUBSCRIPTIONS);
         let dest = EventDestination::new(&subs_col, &id, destination, event_types, origin_resources);
         reg.create(&subs_col.child(&id), dest.to_value())?;
-        let (tx, rx) = bounded(self.queue_depth);
-        let sub = Arc::new(Subscription {
-            id: id.clone(),
-            dest,
-            tx,
-            dropped: AtomicU64::new(0),
-            drop_alerted: AtomicBool::new(false),
-        });
+        let (sub, rx) = Subscription::open(&id, dest, self.queue_depth);
         let mut subs = self.subs.write();
         subs.index.insert(&sub);
-        self.journal_record(WalRecord::Subscribe {
-            id: id.clone(),
-            destination: sub.dest.destination.clone(),
-            event_types: sub
-                .dest
-                .event_types
-                .iter()
-                .map(|t| event_type_label(*t).to_string())
-                .collect(),
-            origins: sub
-                .dest
-                .origin_resources
-                .iter()
-                .map(|l| l.odata_id.as_str().to_string())
-                .collect(),
-        });
+        self.journal_record(sub.journal_record());
         subs.by_id.insert(id.clone(), sub);
         Ok((id, rx))
     }
@@ -346,14 +335,7 @@ impl EventService {
     ) -> Receiver<EventEnvelope> {
         let subs_col = ODataId::new(top::SUBSCRIPTIONS);
         let dest = EventDestination::new(&subs_col, id, destination, event_types, origin_resources);
-        let (tx, rx) = bounded(self.queue_depth);
-        let sub = Arc::new(Subscription {
-            id: id.to_string(),
-            dest,
-            tx,
-            dropped: AtomicU64::new(0),
-            drop_alerted: AtomicBool::new(false),
-        });
+        let (sub, rx) = Subscription::open(id, dest, self.queue_depth);
         if let Ok(n) = id.parse::<u64>() {
             self.next_sub.fetch_max(n.saturating_add(1), Ordering::AcqRel);
         }
@@ -371,22 +353,7 @@ impl EventService {
         ids.sort();
         ids.iter()
             .filter_map(|id| subs.by_id.get(*id))
-            .map(|sub| WalRecord::Subscribe {
-                id: sub.id.clone(),
-                destination: sub.dest.destination.clone(),
-                event_types: sub
-                    .dest
-                    .event_types
-                    .iter()
-                    .map(|t| event_type_label(*t).to_string())
-                    .collect(),
-                origins: sub
-                    .dest
-                    .origin_resources
-                    .iter()
-                    .map(|l| l.odata_id.as_str().to_string())
-                    .collect(),
-            })
+            .map(|sub| sub.journal_record())
             .collect()
     }
 
@@ -406,12 +373,8 @@ impl EventService {
             }
         };
         match reg.delete(&ODataId::new(top::SUBSCRIPTIONS).child(id)) {
-            Ok(()) => {
-                self.journal_record(WalRecord::Unsubscribe { id: id.to_string() });
-                Ok(())
-            }
-            // The resource is already gone: both views agree, call it done.
-            Err(RedfishError::NotFound(_)) => {
+            // NotFound: the resource is already gone, so both views agree.
+            Ok(()) | Err(RedfishError::NotFound(_)) => {
                 self.journal_record(WalRecord::Unsubscribe { id: id.to_string() });
                 Ok(())
             }
@@ -484,32 +447,23 @@ impl EventService {
         // Subscribers whose accumulated losses crossed the alert threshold
         // during this fan-out; announced after the read lock is released.
         let mut newly_lossy: Vec<String> = Vec::new();
-        if self.linear {
-            for sub in subs.by_id.values() {
-                if !sub.dest.matches(event_type, origin) {
-                    continue;
-                }
-                self.deliver(sub, &records, &shared, &mut delivered, &mut newly_lossy);
+        // ofmf-lint: allow(no-panic-path, "type_index maps the 6 EventType variants to 0..6, the bucket count")
+        let bucket = &subs.index.buckets[type_index(event_type)];
+        let keyed = bucket
+            .by_origin
+            .get(top_segment(origin.as_str()))
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
+        let mut candidates = 0u64;
+        for sub in keyed.iter().chain(bucket.any_origin.iter()) {
+            candidates += 1;
+            if !sub.dest.matches(event_type, origin) {
+                continue;
             }
-        } else {
-            // ofmf-lint: allow(no-panic-path, "type_index maps the 6 EventType variants to 0..6, the bucket count")
-            let bucket = &subs.index.buckets[type_index(event_type)];
-            let keyed = bucket
-                .by_origin
-                .get(origin_key(origin.as_str()))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let mut candidates = 0u64;
-            for sub in keyed.iter().chain(bucket.any_origin.iter()) {
-                candidates += 1;
-                if !sub.dest.matches(event_type, origin) {
-                    continue;
-                }
-                self.deliver(sub, &records, &shared, &mut delivered, &mut newly_lossy);
-            }
-            metrics.index_candidates.add(candidates);
-            metrics.index_skipped.add(subs.by_id.len() as u64 - candidates);
+            self.deliver(sub, &records, &shared, &mut delivered, &mut newly_lossy);
         }
+        metrics.index_candidates.add(candidates);
+        metrics.index_skipped.add(subs.by_id.len() as u64 - candidates);
         drop(subs);
         for id in newly_lossy {
             self.alert_lossy_subscriber(&id);
@@ -701,36 +655,6 @@ mod tests {
         assert_eq!(rx.len(), 2);
         svc.publish(EventType::Alert, &ODataId::new("/redfish/v1/Chassis/c0"), "z", "OK");
         assert_eq!(rx.len(), 2, "unrelated segment filtered out");
-    }
-
-    #[test]
-    fn linear_matching_is_equivalent() {
-        let reg = Registry::new();
-        bootstrap(&reg, "u").unwrap();
-        let svc = EventService::new(Arc::new(Clock::manual())).with_linear_matching();
-        let (_, rx_f) = svc
-            .subscribe(
-                &reg,
-                "channel://f",
-                vec![EventType::Alert],
-                vec![ODataId::new("/redfish/v1/Fabrics/CXL0")],
-            )
-            .unwrap();
-        let (_, rx_all) = svc.subscribe(&reg, "channel://all", vec![], vec![]).unwrap();
-        svc.publish(
-            EventType::Alert,
-            &ODataId::new("/redfish/v1/Fabrics/CXL0/Switches/s"),
-            "m",
-            "OK",
-        );
-        svc.publish(
-            EventType::ResourceAdded,
-            &ODataId::new("/redfish/v1/Systems/x"),
-            "n",
-            "OK",
-        );
-        assert_eq!(rx_f.len(), 1);
-        assert_eq!(rx_all.len(), 2);
     }
 
     #[test]

@@ -346,12 +346,7 @@ fn metrics() -> &'static SupervisorMetrics {
 /// (FNV-1a over the id), so jitter streams differ per agent but stay
 /// reproducible.
 pub fn derive_seed(seed: u64, fabric_id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in fabric_id.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    seed ^ h
+    seed ^ redfish_model::path::fnv1a(fabric_id.as_bytes())
 }
 
 /// Whether an agent error is worth retrying (transport/availability, not a

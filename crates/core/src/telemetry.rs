@@ -9,11 +9,10 @@
 //! # Ingest at scale
 //!
 //! The series store is lock-striped: metric ids hash (FNV-1a, the same
-//! function the sharded registry uses) to one of N shards, each an
+//! function the sharded registry uses) to one of 16 shards, each an
 //! independent `RwLock` over a two-level `metric → origin → Series` map.
 //! Concurrent ingesting threads carrying different metrics proceed without
-//! contending; [`TelemetryService::with_shards`]`(1)` reproduces the old
-//! single-lock behavior for A/B benchmarking. Metric ids are interned
+//! contending. Metric ids are interned
 //! `Arc<str>` end-to-end (agents sample them as `Arc<str>`), so a sample's
 //! journey from agent to series costs refcount bumps, not `String` +
 //! `ODataId` clones. Threshold rules are pre-grouped by metric id, so the
@@ -25,7 +24,7 @@ use crate::events::EventService;
 use ofmf_obs::Counter;
 use parking_lot::RwLock;
 use redfish_model::odata::ODataId;
-use redfish_model::path::top;
+use redfish_model::path::{fnv1a, top};
 use redfish_model::resources::events::EventType;
 use redfish_model::resources::telemetry::{MetricReport, MetricValue};
 use redfish_model::resources::Resource;
@@ -37,8 +36,8 @@ use std::sync::{Arc, OnceLock};
 /// Samples kept per series.
 pub const WINDOW: usize = 128;
 
-/// Default number of lock stripes in the series store.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Number of lock stripes in the series store.
+const STRIPES: usize = 16;
 
 /// A threshold rule: alert when `metric` at any origin crosses `limit`.
 #[derive(Debug, Clone)]
@@ -143,20 +142,15 @@ pub struct ReportDefinition {
 /// pair) and metric-scoped scans (reports, thresholds) touch one entry.
 type Shard = RwLock<HashMap<Arc<str>, HashMap<ODataId, Series>>>;
 
-/// FNV-1a — the registry's shard hash, reused for metric ids.
-fn metric_hash(metric: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in metric.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// Stripe index of a metric id. Always `< STRIPES`.
+fn stripe_of(metric: &str) -> usize {
+    (fnv1a(metric.as_bytes()) % STRIPES as u64) as usize
 }
 
 /// The telemetry service.
 pub struct TelemetryService {
     clock: Arc<Clock>,
-    shards: Box<[Shard]>,
+    shards: [Shard; STRIPES],
     /// Threshold rules pre-grouped by metric id: the per-sample check is a
     /// single hash lookup, not a scan of every installed rule.
     thresholds: RwLock<HashMap<String, Vec<Threshold>>>,
@@ -167,31 +161,21 @@ pub struct TelemetryService {
 impl TelemetryService {
     /// New service using `clock` for sample timestamps.
     pub fn new(clock: Arc<Clock>) -> Self {
-        Self::with_shards_and_clock(DEFAULT_SHARDS, clock)
-    }
-
-    /// New service with an explicit stripe count. `with_shards(1)` is the
-    /// compat escape hatch: it keeps the pre-striping ingest pipeline —
-    /// one global lock, a freshly-cloned key per sample, a linear scan of
-    /// every threshold rule — as the measured A/B baseline (the telemetry
-    /// counterpart of [`EventService::with_linear_matching`]).
-    pub fn with_shards(self, n: usize) -> Self {
-        Self::with_shards_and_clock(n.max(1), self.clock)
-    }
-
-    fn with_shards_and_clock(n: usize, clock: Arc<Clock>) -> Self {
         TelemetryService {
             clock,
-            shards: (0..n.max(1)).map(|_| Shard::default()).collect(),
+            shards: Default::default(),
             thresholds: RwLock::new(HashMap::new()),
             definitions: RwLock::new(Vec::new()),
             next_report: AtomicU64::new(1),
         }
     }
 
+    /// The shard holding `metric`. Total without a bounds escape: the array
+    /// is never empty and `stripe_of` is always in range, so the fallback
+    /// is unreachable.
     fn shard_of(&self, metric: &str) -> &Shard {
-        // ofmf-lint: allow(no-panic-path, "hash % shards.len() is always in bounds; shards is never empty")
-        &self.shards[(metric_hash(metric) % self.shards.len() as u64) as usize]
+        let [first, ..] = &self.shards;
+        self.shards.get(stripe_of(metric)).unwrap_or(first)
     }
 
     /// Install a report definition. Reports for it are generated by
@@ -263,18 +247,15 @@ impl TelemetryService {
         let metrics = telemetry_metrics();
         metrics.samples.add(samples.len() as u64);
         let now = self.clock.now_ms();
-        if self.shards.len() == 1 {
-            return self.ingest_compat(samples, events, now);
-        }
-        let mut buckets: Vec<Vec<&AgentMetric>> = vec![Vec::new(); self.shards.len()];
+        let mut buckets: [Vec<&AgentMetric>; STRIPES] = Default::default();
         for s in samples {
-            // ofmf-lint: allow(no-panic-path, "hash % shards.len() is always in bounds; buckets has shards.len() slots")
-            buckets[(metric_hash(&s.metric_id) % self.shards.len() as u64) as usize].push(s);
+            if let Some(bucket) = buckets.get_mut(stripe_of(&s.metric_id)) {
+                bucket.push(s);
+            }
         }
-        for (i, bucket) in buckets.into_iter().enumerate() {
+        for (shard, bucket) in self.shards.iter().zip(buckets) {
             if !bucket.is_empty() {
-                // ofmf-lint: allow(no-panic-path, "i enumerates a Vec sized to shards.len()")
-                self.write_shard(&self.shards[i], bucket, now);
+                self.write_shard(shard, bucket, now);
             }
         }
         let mut alerts = 0;
@@ -288,44 +269,6 @@ impl TelemetryService {
             };
             for t in rules {
                 if s.value > t.upper {
-                    events.publish(
-                        EventType::Alert,
-                        &s.origin,
-                        format!("{} = {:.2} exceeds limit {:.2}", s.metric_id, s.value, t.upper),
-                        &t.severity,
-                    );
-                    alerts += 1;
-                }
-            }
-        }
-        alerts
-    }
-
-    /// The pre-striping ingest pipeline, selected by `with_shards(1)`:
-    /// every sample allocates a fresh key into the (single) map — the old
-    /// store was keyed by cloned `(String, ODataId)` pairs — and every
-    /// sample is checked against every installed threshold rule. Observable
-    /// behavior is identical to the striped path; only the cost profile
-    /// differs, which is the point of keeping it.
-    fn ingest_compat(&self, samples: &[AgentMetric], events: &EventService, now: u64) -> usize {
-        {
-            // ofmf-lint: allow(no-panic-path, "shards is constructed non-empty; compat mode means exactly one shard")
-            let mut guard = self.shards[0].write();
-            for s in samples {
-                let key: Arc<str> = Arc::from(&*s.metric_id);
-                guard
-                    .entry(key)
-                    .or_default()
-                    .entry(s.origin.clone())
-                    .or_default()
-                    .push(now, s.value);
-            }
-        }
-        let mut alerts = 0;
-        let thresholds = self.thresholds.read();
-        for s in samples {
-            for t in thresholds.values().flatten() {
-                if t.metric_id.as_str() == &*s.metric_id && s.value > t.upper {
                     events.publish(
                         EventType::Alert,
                         &s.origin,
@@ -456,25 +399,6 @@ mod tests {
         assert_eq!(tel.series_count(), 1);
         assert_eq!(tel.latest("Temp", &ODataId::new("/redfish/v1/Chassis/c0")), Some(70.0));
         assert_eq!(tel.mean("Temp", &ODataId::new("/redfish/v1/Chassis/c0")), Some(60.0));
-    }
-
-    #[test]
-    fn single_shard_compat_behaves_identically() {
-        let (_reg, ev, tel, _clock) = setup();
-        let tel = tel.with_shards(1);
-        tel.ingest(
-            &[
-                metric("Temp", "/redfish/v1/Chassis/c0", 50.0),
-                metric("Power", "/redfish/v1/Chassis/c0", 120.0),
-                metric("Temp", "/redfish/v1/Chassis/c1", 40.0),
-            ],
-            &ev,
-        );
-        assert_eq!(tel.series_count(), 3);
-        assert_eq!(
-            tel.latest("Power", &ODataId::new("/redfish/v1/Chassis/c0")),
-            Some(120.0)
-        );
     }
 
     #[test]

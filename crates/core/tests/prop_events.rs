@@ -1,6 +1,7 @@
 //! Property test for the subscription routing index: for ANY population of
 //! subscription filters and ANY publish origin, the indexed fan-out delivers
-//! to exactly the same subscriber set as the pre-index linear scan — with
+//! to exactly the subscribers a reference model selects by running
+//! `EventDestination::matches` over the test's own filter list — with
 //! unsubscribes interleaved, so incremental index maintenance is exercised
 //! too.
 
@@ -9,9 +10,9 @@ use ofmf_core::events::EventService;
 use ofmf_core::tree::bootstrap;
 use proptest::prelude::*;
 use redfish_model::odata::ODataId;
-use redfish_model::resources::events::EventType;
+use redfish_model::path::top;
+use redfish_model::resources::events::{EventDestination, EventType};
 use redfish_model::Registry;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Origin paths spanning the interesting routing shapes: different
@@ -57,77 +58,80 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn indexed_routing_equals_linear_matching(
+    fn indexed_routing_equals_full_scan_model(
         filters in prop::collection::vec(filter_strategy(), 1..20),
         publishes in prop::collection::vec((event_type_strategy(), origin_strategy()), 1..20),
         // Indices (mod population) of subscriptions dropped mid-run, so the
         // incrementally-maintained index is exercised, not just the built one.
         unsubs in prop::collection::vec(0usize..20, 0..6),
     ) {
-        let reg_i = Registry::new();
-        bootstrap(&reg_i, "prop").unwrap();
-        let reg_l = Registry::new();
-        bootstrap(&reg_l, "prop").unwrap();
-        let indexed = EventService::new(Arc::new(Clock::manual())).with_queue_depth(4096);
-        let linear = EventService::new(Arc::new(Clock::manual()))
-            .with_queue_depth(4096)
-            .with_linear_matching();
+        let reg = Registry::new();
+        bootstrap(&reg, "prop").unwrap();
+        let svc = EventService::new(Arc::new(Clock::manual())).with_queue_depth(4096);
 
-        let mut subs_i = Vec::new();
-        let mut subs_l = Vec::new();
+        // The reference model: each subscription's filter, whether it is
+        // still subscribed, and the deliveries a full scan would make.
+        struct Model {
+            dest: EventDestination,
+            live: bool,
+            expected: Vec<(EventType, String)>,
+        }
+        let subs_col = ODataId::new(top::SUBSCRIPTIONS);
+        let mut model = Vec::new();
+        let mut subs = Vec::new();
         for (k, (types, origins)) in filters.iter().enumerate() {
             let origins: Vec<ODataId> = origins.iter().map(ODataId::new).collect();
             let dest = format!("channel://s{k}");
-            subs_i.push(indexed.subscribe(&reg_i, &dest, types.clone(), origins.clone()).unwrap());
-            subs_l.push(linear.subscribe(&reg_l, &dest, types.clone(), origins).unwrap());
+            subs.push(svc.subscribe(&reg, &dest, types.clone(), origins.clone()).unwrap());
+            model.push(Model {
+                dest: EventDestination::new(&subs_col, &k.to_string(), &dest, types.clone(), origins),
+                live: true,
+                expected: Vec::new(),
+            });
         }
         // Interleave unsubscribes with publishes: drop one subscription,
         // publish a few, repeat.
-        let mut dropped = BTreeSet::new();
         let mut chunks = publishes.chunks(publishes.len().div_ceil(unsubs.len() + 1));
-        let run = |svc_pubs: &[(EventType, String)]| {
-            for (t, origin) in svc_pubs {
-                let origin = ODataId::new(origin);
-                let n_i = indexed.publish(*t, &origin, "p", "OK");
-                let n_l = linear.publish(*t, &origin, "p", "OK");
-                prop_assert_eq!(n_i, n_l, "delivery counts diverged for {:?} {}", t, origin);
+        let run = |model: &mut Vec<Model>, pubs: &[(EventType, String)]| {
+            for (t, origin) in pubs {
+                let id = ODataId::new(origin);
+                let mut want = 0;
+                for m in model.iter_mut().filter(|m| m.live && m.dest.matches(*t, &id)) {
+                    m.expected.push((*t, id.as_str().to_string()));
+                    want += 1;
+                }
+                let got = svc.publish(*t, &id, "p", "OK");
+                prop_assert_eq!(got, want, "delivery count diverged for {:?} {}", t, origin);
             }
             Ok(())
         };
         if let Some(chunk) = chunks.next() {
-            run(chunk)?;
+            run(&mut model, chunk)?;
         }
         for u in &unsubs {
             let k = u % filters.len();
-            if dropped.insert(k) {
-                indexed.unsubscribe(&reg_i, &subs_i[k].0).unwrap();
-                linear.unsubscribe(&reg_l, &subs_l[k].0).unwrap();
+            if model[k].live {
+                model[k].live = false;
+                svc.unsubscribe(&reg, &subs[k].0).unwrap();
             }
             if let Some(chunk) = chunks.next() {
-                run(chunk)?;
+                run(&mut model, chunk)?;
             }
         }
         for chunk in chunks {
-            run(chunk)?;
+            run(&mut model, chunk)?;
         }
 
-        // Identical delivery SETS, subscriber by subscriber: each live
-        // queue holds the same number of batches with the same record
-        // payloads in the same order.
-        for (k, ((_, rx_i), (_, rx_l))) in subs_i.iter().zip(subs_l.iter()).enumerate() {
-            let mut msgs_i = Vec::new();
-            while let Ok(b) = rx_i.try_recv() {
+        // Identical delivery SETS, subscriber by subscriber: each queue
+        // holds exactly the model's record payloads in the same order.
+        for (k, ((_, rx), m)) in subs.iter().zip(&model).enumerate() {
+            let mut msgs = Vec::new();
+            while let Ok(b) = rx.try_recv() {
                 for r in b.events.iter() {
-                    msgs_i.push((r.event_type, r.origin_of_condition.odata_id.as_str().to_string()));
+                    msgs.push((r.event_type, r.origin_of_condition.odata_id.as_str().to_string()));
                 }
             }
-            let mut msgs_l = Vec::new();
-            while let Ok(b) = rx_l.try_recv() {
-                for r in b.events.iter() {
-                    msgs_l.push((r.event_type, r.origin_of_condition.odata_id.as_str().to_string()));
-                }
-            }
-            prop_assert_eq!(&msgs_i, &msgs_l, "subscriber {} saw different deliveries", k);
+            prop_assert_eq!(&msgs, &m.expected, "subscriber {} saw different deliveries", k);
         }
     }
 }

@@ -73,6 +73,32 @@ pub fn fabric_id_of(path: &str) -> Option<&str> {
     }
 }
 
+/// The first path segment below the service root (`Systems`, `Fabrics`,
+/// …): the key the registry stripes on and the event index routes on, so a
+/// resource and all of its descendants share one key. Root documents
+/// (`/redfish/v1`, `/redfish`, `/`) key to the empty string; paths outside
+/// the service tree key by their first segment.
+pub fn top_segment(path: &str) -> &str {
+    if let Some(rest) = path.strip_prefix("/redfish/v1/") {
+        rest.split('/').next().unwrap_or("")
+    } else if path == "/redfish/v1" || path == "/redfish" || path == "/" {
+        ""
+    } else {
+        path.trim_start_matches('/').split('/').next().unwrap_or("")
+    }
+}
+
+/// 64-bit FNV-1a — the one stripe/seed hash of the workspace,
+/// deterministic across runs and platforms.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// Validate a client-supplied member id: non-empty, ASCII alphanumerics plus
 /// `-`, `_`, `.`; never contains a path separator. Returns `false` for ids
 /// that could escape their collection.
@@ -100,6 +126,24 @@ mod tests {
     fn fabric_extraction() {
         assert_eq!(fabric_id_of("/redfish/v1/Fabrics/CXL0/Switches/sw1"), Some("CXL0"));
         assert_eq!(fabric_id_of("/redfish/v1/Systems/cn01"), None);
+    }
+
+    #[test]
+    fn top_segment_groups_subtrees() {
+        assert_eq!(top_segment("/redfish/v1/Systems"), "Systems");
+        assert_eq!(top_segment("/redfish/v1/Systems/cn01/Processors/p0"), "Systems");
+        assert_eq!(top_segment("/redfish/v1/Fabrics/CXL0/Endpoints/ep0"), "Fabrics");
+        assert_eq!(top_segment("/redfish/v1"), "");
+        assert_eq!(top_segment("/redfish"), "");
+        assert_eq!(top_segment("/"), "");
+        assert_eq!(top_segment("/x/y"), "x");
+        assert_eq!(top_segment("/x"), "x");
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -194,50 +194,6 @@ fn concurrent_mixed_load_preserves_invariants() {
     assert!(hits + misses > 0);
 }
 
-#[test]
-fn concurrent_load_on_single_shard_registry_matches() {
-    // The degenerate 1-shard configuration must uphold the same invariants
-    // (it is the baseline the benchmarks compare against).
-    let reg = Arc::new(Registry::with_shards(1));
-    let root = bootstrap(&reg);
-    let barrier = Arc::new(Barrier::new(4));
-    let mut handles = Vec::new();
-    for w in 0..4 {
-        let reg = Arc::clone(&reg);
-        let root = root.clone();
-        let barrier = Arc::clone(&barrier);
-        handles.push(thread::spawn(move || {
-            let mut rng = Rng(w as u64 * 7919 + 1);
-            barrier.wait();
-            for i in 0..200 {
-                let id = root.child(rng.pick(TOPS)).child(&format!("s{w}-{}", rng.next() % 4));
-                match i % 3 {
-                    0 => {
-                        let _ = reg.create(&id, json!({"Name": id.leaf()}));
-                    }
-                    1 => {
-                        let _ = reg.patch(&id, &json!({"I": i}), None);
-                    }
-                    _ => {
-                        let _ = reg.delete(&id);
-                    }
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("thread panicked");
-    }
-    assert!(reg.dangling_links().is_empty());
-    for t in TOPS {
-        let body = reg.get(&root.child(t)).unwrap().body;
-        assert_eq!(
-            body["Members"].as_array().unwrap().len(),
-            body["Members@odata.count"].as_u64().unwrap() as usize
-        );
-    }
-}
-
 /// With `--features lockcheck`, assert the stress suite leaves the
 /// process-global lock-acquisition graph acyclic. The graph only ever
 /// accumulates edges, so re-driving the mixed workload here and then
