@@ -255,12 +255,12 @@ fn fault_injection_via_agent_op() {
     .unwrap();
     o.poll();
     // The port doc for link 0 carries the failure.
-    let docs = o.registry.ids_of_type("#Port.");
-    let bad: Vec<_> = docs
-        .iter()
-        .filter(|id| o.registry.get(id).unwrap().body["LinkState"] == "Disabled")
-        .collect();
-    assert_eq!(bad.len(), 1);
+    let mut bad = 0;
+    o.registry.for_each(|_, node| {
+        let is_port = node.odata_type().is_some_and(|t| t.starts_with("#Port."));
+        bad += usize::from(is_port && node.body["LinkState"] == "Disabled");
+    });
+    assert_eq!(bad, 1);
     // Unparseable description rejected.
     assert!(o
         .apply(

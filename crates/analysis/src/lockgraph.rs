@@ -127,7 +127,9 @@ pub struct LockModel {
     pub fns: Vec<FnSpan>,
 }
 
-/// Method names that *are* acquisitions, never interprocedural calls.
+/// Method names that *are* acquisitions when called with no arguments,
+/// never interprocedural calls. With arguments they are ordinary calls:
+/// `Registry::read(id, f)` takes the stripe lock inside.
 const ACQ_METHODS: [(&str, Mode, bool); 6] = [
     ("lock", Mode::Lock, false),
     ("read", Mode::Read, false),
@@ -353,7 +355,7 @@ impl LockModel {
         let resolve =
             |c: &PCall, file_idx: usize, caller_owner: &str, locals: &HashMap<String, String>| -> Vec<usize> {
                 let (callee, recv, arity) = (c.callee.as_str(), c.recv.as_str(), c.arity);
-                if CALL_DENYLIST.contains(&callee) || is_acq_method(callee) {
+                if CALL_DENYLIST.contains(&callee) || (is_acq_method(callee) && arity == 0) {
                     return Vec::new();
                 }
                 let Some(all) = by_name.get(callee) else {

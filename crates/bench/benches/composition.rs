@@ -6,6 +6,9 @@ use composer::accounting::{composable_outcome, heterogeneous_mix, static_outcome
 use composer::{Composer, CompositionRequest, Strategy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofmf_bench::bench_rig;
+use redfish_model::odata::ODataId;
+use redfish_model::path::top;
+use serde_json::json;
 use std::sync::Arc;
 
 fn bench_compose_decompose(c: &mut Criterion) {
@@ -31,12 +34,23 @@ fn bench_compose_decompose(c: &mut Criterion) {
 
 fn bench_inventory_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("inventory_scan");
+    let chassis = ODataId::new(top::CHASSIS);
     for &targets in &[2usize, 16, 64] {
-        let ofmf = bench_rig(16, targets, 3);
-        let composer = Composer::new(Arc::clone(&ofmf), Strategy::FirstFit);
-        group.bench_with_input(BenchmarkId::from_parameter(targets), &targets, |b, _| {
-            b.iter(|| std::hint::black_box(composer.inventory()));
-        });
+        // The second arm adds client chassis no endpoint links to: the
+        // scan's cost must follow the pools, not the size of the tree.
+        for (arm, unrelated) in [("rack", 0usize), ("rack+2000chassis", 2000)] {
+            let ofmf = bench_rig(16, targets, 3);
+            for i in 0..unrelated {
+                let body = json!({"@odata.type": "#Chassis.v1_25_0.Chassis", "Name": "client"});
+                ofmf.registry
+                    .create(&chassis.child(&format!("client{i:04}")), body)
+                    .expect("fresh id");
+            }
+            let composer = Composer::new(Arc::clone(&ofmf), Strategy::FirstFit);
+            group.bench_with_input(BenchmarkId::new(arm, targets), &targets, |b, _| {
+                b.iter(|| std::hint::black_box(composer.inventory()));
+            });
+        }
     }
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! grow/shrink/fail-over local — rebinding memory never touches the zones of
 //! other bindings.
 
-use crate::inventory::Inventory;
+use crate::inventory::{endpoints_of, Inventory};
 use crate::policy::PolicySet;
 use crate::probe::Prober;
 use crate::request::{Binding, BindingKind, ComposedSystem, CompositionRequest};
@@ -20,7 +20,7 @@ use redfish_model::path::top;
 use redfish_model::resources::events::EventType;
 use redfish_model::{RedfishError, RedfishResult};
 use serde_json::{json, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 struct ComposerMetrics {
@@ -81,12 +81,40 @@ fn composer_metrics() -> &'static ComposerMetrics {
     })
 }
 
+/// Which compute nodes are spoken for.
+#[derive(Default)]
+struct State {
+    /// Live compositions, keyed by composed-system id.
+    live: BTreeMap<ODataId, ComposedSystem>,
+    /// Nodes picked by composes still in flight — taken, not yet in `live`.
+    reserved: BTreeSet<ODataId>,
+}
+
+impl State {
+    fn taken(&self, node: &ODataId) -> bool {
+        self.reserved.contains(node) || self.live.values().any(|c| &c.node == node)
+    }
+}
+
+/// A node held in [`State::reserved`] for one in-flight compose; dropping
+/// it (commit, refusal, abort and compensation alike) releases the hold.
+struct Reservation<'a> {
+    state: &'a Mutex<State>,
+    node: &'a ODataId,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.state.lock().reserved.remove(self.node);
+    }
+}
+
 /// The Composability Manager.
 pub struct Composer {
     ofmf: Arc<Ofmf>,
     strategy: Strategy,
     policy: PolicySet,
-    state: Mutex<BTreeMap<ODataId, ComposedSystem>>,
+    state: Mutex<State>,
     prober: Prober,
 }
 
@@ -98,7 +126,7 @@ impl Composer {
             ofmf,
             strategy,
             policy: PolicySet::default(),
-            state: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(State::default()),
             prober: Prober::new(),
         }
     }
@@ -122,17 +150,21 @@ impl Composer {
 
     /// Live compositions, keyed by composed-system id.
     pub fn compositions(&self) -> Vec<ComposedSystem> {
-        self.state.lock().values().cloned().collect()
+        self.state.lock().live.values().cloned().collect()
     }
 
     /// Look up one composition.
     pub fn find(&self, system: &ODataId) -> Option<ComposedSystem> {
-        self.state.lock().get(system).cloned()
+        self.state.lock().live.get(system).cloned()
     }
 
     /// Current inventory as the composer sees it (bound nodes excluded).
     pub fn inventory(&self) -> Inventory {
-        let bound: Vec<ODataId> = self.state.lock().values().map(|c| c.node.clone()).collect();
+        let bound: BTreeSet<ODataId> = {
+            let state = self.state.lock();
+            let live = state.live.values().map(|c| &c.node);
+            live.chain(&state.reserved).cloned().collect()
+        };
         Inventory::scan(&self.ofmf, &bound)
     }
 
@@ -165,18 +197,27 @@ impl Composer {
     fn compose_inner(&self, request: &CompositionRequest) -> RedfishResult<ComposedSystem> {
         let inv = self.inventory();
 
-        // 1. Pick the compute node.
-        let node = inv
-            .compute
-            .iter()
-            .find(|c| c.cores >= request.cores && c.memory_gib >= request.local_memory_gib)
-            .ok_or_else(|| {
+        // 1. Pick the compute node and mark it taken in one critical
+        //    section: the inventory was read unlocked, so a concurrent
+        //    compose may have picked from the same free list since.
+        let node = {
+            let mut state = self.state.lock();
+            let fits = |c: &&crate::inventory::ComputePool| {
+                c.cores >= request.cores && c.memory_gib >= request.local_memory_gib && !state.taken(&c.system)
+            };
+            let node = inv.compute.iter().find(fits).cloned().ok_or_else(|| {
                 RedfishError::InsufficientResources(format!(
                     "no free node with ≥{} cores and ≥{} GiB",
                     request.cores, request.local_memory_gib
                 ))
-            })?
-            .clone();
+            })?;
+            state.reserved.insert(node.system.clone());
+            node
+        };
+        let _reservation = Reservation {
+            state: &self.state,
+            node: &node.system,
+        };
 
         // 2. Plan the fabric bindings (sizes + targets) up front so failures
         //    happen before any mutation.
@@ -396,7 +437,7 @@ impl Composer {
         );
         // Commit marks the transaction complete: replay treats anything
         // journaled after the intent but before this record as half-bound.
-        self.state.lock().insert(sys_id.clone(), composed.clone());
+        self.state.lock().live.insert(sys_id.clone(), composed.clone());
         self.ofmf.wal_record(WalRecord::ComposeCommit {
             system: sys_id.as_str().to_string(),
         });
@@ -453,15 +494,17 @@ impl Composer {
             }
         };
         // The materialized resource is what the connection references.
-        let conn_body = self.ofmf.registry.get(&connection)?.body;
-        // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
-        let resource = conn_body["MemoryChunkInfo"][0]["Resource"]["@odata.id"]
-            .as_str()
+        let resource = self.ofmf.registry.read(&connection, |stored| {
+            let conn_body = &stored.body;
             // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
-            .or_else(|| conn_body["VolumeInfo"][0]["Resource"]["@odata.id"].as_str())
-            .or_else(|| conn_body["Oem"]["OFMF"]["Resource"]["@odata.id"].as_str())
-            .map(ODataId::new)
-            .unwrap_or_else(|| target_ep.clone());
+            conn_body["MemoryChunkInfo"][0]["Resource"]["@odata.id"]
+                .as_str()
+                // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
+                .or_else(|| conn_body["VolumeInfo"][0]["Resource"]["@odata.id"].as_str())
+                .or_else(|| conn_body["Oem"]["OFMF"]["Resource"]["@odata.id"].as_str())
+                .map(ODataId::new)
+                .unwrap_or_else(|| target_ep.clone())
+        })?;
         // The new reservation moved this fabric's residuals: cached probe
         // scores for it are stale.
         self.prober.invalidate_fabric(fabric);
@@ -503,6 +546,7 @@ impl Composer {
         let composed = self
             .state
             .lock()
+            .live
             .remove(system)
             .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
         self.unbind_all(&composed.bindings);
@@ -525,25 +569,8 @@ impl Composer {
     /// mitigation path). Creates an additional binding; existing ones are
     /// untouched, so the running job never loses memory.
     pub fn grow_memory(&self, system: &ODataId, extra_mib: u64) -> RedfishResult<Binding> {
-        let (node_endpoints, _node) = {
-            let state = self.state.lock();
-            let c = state
-                .get(system)
-                .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
-            let inv_node = Inventory::scan(&self.ofmf, &[])
-                .compute
-                .into_iter()
-                .chain(std::iter::empty())
-                .find(|n| n.system == c.node);
-            // The node is bound (excluded from the free list), so rebuild
-            // its endpoint map directly from the tree.
-            let endpoints = match inv_node {
-                Some(n) => n.endpoints,
-                None => Self::endpoints_of(&self.ofmf, &c.node),
-            };
-            (endpoints, c.node.clone())
-        };
-        let inv = Inventory::scan(&self.ofmf, &[]);
+        let node_endpoints = endpoints_of(&self.ofmf, &self.node_of(system)?);
+        let inv = self.inventory();
         let eligible: Vec<crate::inventory::MemoryPool> = inv
             .memory
             .iter()
@@ -569,6 +596,7 @@ impl Composer {
         let qos = {
             let state = self.state.lock();
             state
+                .live
                 .get(system)
                 .map(|c| c.request.memory_bandwidth_gbps)
                 .unwrap_or(0.0)
@@ -591,15 +619,16 @@ impl Composer {
         });
         let mut state = self.state.lock();
         let c = state
+            .live
             .get_mut(system)
             .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
         c.bindings.push(binding.clone());
         let node_gib = self
             .ofmf
             .registry
-            .get(&c.node)
+            .read(&c.node, |s| s.body["MemorySummary"]["TotalSystemMemoryGiB"].as_u64())
             .ok()
-            .and_then(|s| s.body["MemorySummary"]["TotalSystemMemoryGiB"].as_u64())
+            .flatten()
             .unwrap_or(c.request.local_memory_gib);
         let new_total = node_gib + c.bound_memory_mib() / 1024;
         drop(state);
@@ -621,15 +650,8 @@ impl Composer {
     /// Attach additional fabric storage to a running composition (the I/O
     /// thrash mitigation path).
     pub fn attach_storage(&self, system: &ODataId, bytes: u64) -> RedfishResult<Binding> {
-        let node = {
-            let state = self.state.lock();
-            let c = state
-                .get(system)
-                .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
-            c.node.clone()
-        };
-        let node_endpoints = Self::endpoints_of(&self.ofmf, &node);
-        let inv = Inventory::scan(&self.ofmf, &[]);
+        let node_endpoints = endpoints_of(&self.ofmf, &self.node_of(system)?);
+        let inv = self.inventory();
         let (chosen, skipped) = choose_storage(
             &self.prober,
             self.strategy,
@@ -649,6 +671,7 @@ impl Composer {
         let qos = {
             let state = self.state.lock();
             state
+                .live
                 .get(system)
                 .map(|c| c.request.storage_bandwidth_gbps)
                 .unwrap_or(0.0)
@@ -671,6 +694,7 @@ impl Composer {
         });
         let mut state = self.state.lock();
         let c = state
+            .live
             .get_mut(system)
             .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
         c.bindings.push(binding.clone());
@@ -691,7 +715,7 @@ impl Composer {
     fn refresh_resource_blocks(&self, system: &ODataId) {
         let links = {
             let state = self.state.lock();
-            let Some(c) = state.get(system) else { return };
+            let Some(c) = state.live.get(system) else { return };
             c.resource_block_links()
         };
         let _ = self
@@ -700,26 +724,14 @@ impl Composer {
             .patch(system, &json!({"Links": {"ResourceBlocks": links}}), None);
     }
 
-    /// Rebuild the fabric-endpoint map of a node from the tree.
-    fn endpoints_of(ofmf: &Ofmf, node: &ODataId) -> BTreeMap<String, ODataId> {
-        let mut out = BTreeMap::new();
-        for ep_id in ofmf.registry.ids_of_type("#Endpoint.") {
-            let Ok(stored) = ofmf.registry.get(&ep_id) else {
-                continue;
-            };
-            let Some(entities) = stored.body["ConnectedEntities"].as_array() else {
-                continue;
-            };
-            let is_ours = entities.iter().any(|e| {
-                e["EntityRole"] == "Initiator" && e["EntityLink"]["@odata.id"].as_str() == Some(node.as_str())
-            });
-            if is_ours {
-                if let Some(f) = redfish_model::path::fabric_id_of(ep_id.as_str()) {
-                    out.insert(f.to_string(), ep_id.clone());
-                }
-            }
-        }
-        out
+    /// The compute node a live composition runs on.
+    fn node_of(&self, system: &ODataId) -> RedfishResult<ODataId> {
+        let state = self.state.lock();
+        let live = state
+            .live
+            .get(system)
+            .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
+        Ok(live.node.clone())
     }
 
     // ------------------------------------------------------------ reconcile
@@ -729,13 +741,13 @@ impl Composer {
     /// missing memory/storage binding, re-bind the same capacity from the
     /// remaining pools. Returns `(repaired, lost)` binding counts.
     pub fn reconcile(&self) -> (usize, usize) {
-        let systems: Vec<ODataId> = self.state.lock().keys().cloned().collect();
+        let systems: Vec<ODataId> = self.state.lock().live.keys().cloned().collect();
         let mut repaired = 0;
         let mut lost = 0;
         for sys in systems {
             let missing: Vec<Binding> = {
                 let state = self.state.lock();
-                let Some(c) = state.get(&sys) else { continue };
+                let Some(c) = state.live.get(&sys) else { continue };
                 c.bindings
                     .iter()
                     .filter(|b| !self.ofmf.registry.exists(&b.connection))
@@ -746,7 +758,7 @@ impl Composer {
                 // Drop the dead binding (and its now-empty zone).
                 {
                     let mut state = self.state.lock();
-                    if let Some(c) = state.get_mut(&sys) {
+                    if let Some(c) = state.live.get_mut(&sys) {
                         c.bindings.retain(|x| x.connection != b.connection);
                     }
                 }
@@ -875,7 +887,7 @@ impl Composer {
                 .into_iter()
                 .filter(|b| self.ofmf.registry.exists(&b.connection))
                 .collect();
-            self.state.lock().insert(
+            self.state.lock().live.insert(
                 sys_id.clone(),
                 ComposedSystem {
                     system: sys_id,
@@ -954,10 +966,10 @@ impl Composer {
                 // disconnect response removes it, but a fresh agent never
                 // knew it. Never an endpoint (the fallback resource when the
                 // connection carried no carve info).
-                if let Ok(stored) = self.ofmf.registry.get(&b.resource) {
-                    if stored.odata_type().is_none_or(|t| !t.starts_with("#Endpoint.")) {
-                        self.ofmf.registry.delete_subtree(&b.resource);
-                    }
+                let is_carve =
+                    |s: &redfish_model::StoredResource| s.odata_type().is_none_or(|t| !t.starts_with("#Endpoint."));
+                if self.ofmf.registry.read(&b.resource, is_carve).unwrap_or(false) {
+                    self.ofmf.registry.delete_subtree(&b.resource);
                 }
             }
         }
@@ -976,6 +988,7 @@ impl Composer {
     pub fn snapshot_records(&self) -> Vec<WalRecord> {
         self.state
             .lock()
+            .live
             .values()
             .map(|c| WalRecord::ComposeLive {
                 system: c.system.as_str().to_string(),

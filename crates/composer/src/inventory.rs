@@ -1,13 +1,27 @@
-//! A live inventory of composable pools, derived from the unified tree.
+//! A live inventory of composable pools, read from the unified tree.
 //!
-//! The inventory is recomputed on demand from the registry (the tree is the
-//! single source of truth — what an agent published is what exists), then
-//! adjusted by the composer's own assignment records.
+//! The tree is the single source of truth (what an agent published is what
+//! exists), so the inventory is recomputed on every call — by following the
+//! links a Redfish client would: `Fabrics` members → each fabric's
+//! `Endpoints` members → each `ConnectedEntities[].EntityLink`. An
+//! initiator's link names its compute node; a target's is classified by the
+//! linked resource's own `@odata.type` (`#MemoryDomain.`, GPU `#Processor.`,
+//! `#StoragePool.`). Compute nodes are the `Systems` members. Reads borrow
+//! the stored document ([`Registry::read`]); only result ids are cloned.
+//!
+//! The work is O(endpoints + systems + pools): a resource that is none of
+//! those (a client's 2 000 chassis, sessions, log entries) is never visited,
+//! and one no link reaches (a `#ComputerSystem.` outside `Systems`) is not
+//! composable. No type index and no cached inventory, on purpose: an index
+//! taxes every create, delete, boot and WAL replay for a rare control-plane
+//! call, and a cache needs invalidating from every publish, PATCH and unmount.
 
 use ofmf_core::Ofmf;
 use redfish_model::odata::ODataId;
-use serde_json::Value;
-use std::collections::BTreeMap;
+use redfish_model::path::top;
+use redfish_model::registry::StoredResource;
+use redfish_model::Registry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A compute node available for composition.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,162 +95,167 @@ pub struct Inventory {
 /// Whether `id` or any of its ancestors reports `UnavailableOffline`
 /// (agents mark the failed *device* resource — e.g. the chassis of a dead
 /// memory appliance — so pool resources underneath inherit the state).
-fn offline(reg: &redfish_model::Registry, id: &ODataId) -> bool {
-    let mut cur = Some(id.clone());
-    while let Some(c) = cur {
-        if let Ok(stored) = reg.get(&c) {
-            if stored.body["Status"]["State"].as_str() == Some("UnavailableOffline") {
-                return true;
-            }
-        }
-        cur = c.parent();
-    }
-    false
+fn offline(reg: &Registry, id: &ODataId) -> bool {
+    let down = |s: &StoredResource| s.body["Status"]["State"] == "UnavailableOffline";
+    std::iter::successors(Some(id.clone()), ODataId::parent).any(|c| reg.read(&c, down).unwrap_or(false))
 }
 
-impl Inventory {
-    /// Scan the tree. `bound_systems` are systems the composer already
-    /// assigned (excluded from the free compute list).
-    pub fn scan(ofmf: &Ofmf, bound_systems: &[ODataId]) -> Inventory {
-        let reg = &ofmf.registry;
-        let mut inv = Inventory::default();
+/// Σ of the `size_member` of every member of `collection` (the chunks
+/// carved from a domain, the volumes provisioned in a storage service).
+fn used(reg: &Registry, collection: &ODataId, size_member: &str) -> u64 {
+    let size = |m: &ODataId| reg.read(m, |s| s.body.get(size_member)?.as_u64()).ok().flatten();
+    let members = reg.members(collection).unwrap_or_default();
+    members.iter().filter_map(size).sum()
+}
 
-        // Endpoints by the device they front; also classify roles.
-        // endpoint doc → (fabric, entity link, role)
-        let mut target_eps: BTreeMap<ODataId, (String, ODataId)> = BTreeMap::new();
-        let mut initiator_eps: BTreeMap<ODataId, (String, ODataId)> = BTreeMap::new();
-        for ep_id in reg.ids_of_type("#Endpoint.") {
-            let Ok(stored) = reg.get(&ep_id) else { continue };
-            let fabric = redfish_model::path::fabric_id_of(ep_id.as_str())
-                .unwrap_or_default()
-                .to_string();
-            let Some(entities) = stored.body.get("ConnectedEntities").and_then(Value::as_array) else {
+/// What the endpoints of every fabric front, keyed by entity link. Where
+/// several endpoints front one entity the lowest endpoint id wins, whatever
+/// order the collections list their members in.
+#[derive(Default)]
+pub(crate) struct EndpointLinks {
+    /// Compute node → fabric id → its initiator endpoint on that fabric.
+    pub(crate) initiators: HashMap<ODataId, BTreeMap<String, ODataId>>,
+    /// Pool resource → (fabric id, target endpoint), in path order.
+    targets: BTreeMap<ODataId, (String, ODataId)>,
+}
+
+impl EndpointLinks {
+    /// Follow `Fabrics` → `Endpoints` → `ConnectedEntities` once.
+    pub(crate) fn walk(reg: &Registry) -> EndpointLinks {
+        let mut links = EndpointLinks::default();
+        for fabric in reg.members(&ODataId::new(top::FABRICS)).unwrap_or_default() {
+            for ep in reg.members(&fabric.child("Endpoints")).unwrap_or_default() {
+                let _ = reg.read(&ep, |stored| links.note(fabric.leaf(), &ep, stored));
+            }
+        }
+        links
+    }
+
+    fn note(&mut self, fabric: &str, ep: &ODataId, stored: &StoredResource) {
+        for entity in stored.body["ConnectedEntities"].as_array().into_iter().flatten() {
+            let Some(link) = entity["EntityLink"]["@odata.id"].as_str().map(ODataId::new) else {
                 continue;
             };
-            for ent in entities {
-                let role = ent.get("EntityRole").and_then(Value::as_str).unwrap_or("");
-                let Some(link) = ent
-                    .get("EntityLink")
-                    .and_then(|l| l.get("@odata.id"))
-                    .and_then(Value::as_str)
-                else {
-                    continue;
-                };
-                let link = ODataId::new(link);
-                if role == "Initiator" {
-                    initiator_eps.insert(ep_id.clone(), (fabric.clone(), link));
-                } else {
-                    target_eps.insert(ep_id.clone(), (fabric.clone(), link));
+            if entity["EntityRole"] == "Initiator" {
+                let on_fabric = self.initiators.entry(link).or_default();
+                let known = on_fabric.entry(fabric.to_string()).or_insert_with(|| ep.clone());
+                if ep < known {
+                    *known = ep.clone();
+                }
+            } else {
+                let fronting = || (fabric.to_string(), ep.clone());
+                let known = self.targets.entry(link).or_insert_with(fronting);
+                if *ep < known.1 {
+                    *known = fronting();
                 }
             }
         }
+    }
+}
 
-        // Compute nodes: physical systems not bound.
-        for sys_id in reg.ids_of_type("#ComputerSystem.") {
-            let Ok(stored) = reg.get(&sys_id) else { continue };
-            if stored.body.get("SystemType").and_then(Value::as_str) != Some("Physical") {
+/// The fabric endpoints of one compute node: fabric id → endpoint id.
+pub(crate) fn endpoints_of(ofmf: &Ofmf, node: &ODataId) -> BTreeMap<String, ODataId> {
+    let mut links = EndpointLinks::walk(&ofmf.registry);
+    links.initiators.remove(node).unwrap_or_default()
+}
+
+/// What a target's entity link turned out to be: a domain's `MemorySizeMiB`,
+/// whether a GPU is granted (`Oem.OFMF.AssignedTo`), or a storage pool's
+/// `Capacity.GuaranteedBytes`.
+enum Pool {
+    Memory(u64),
+    Gpu(bool),
+    Storage(u64),
+}
+
+fn classify(stored: &StoredResource) -> Option<Pool> {
+    let (ty, body) = (stored.odata_type()?, &stored.body);
+    if ty.starts_with("#MemoryDomain.") {
+        Some(Pool::Memory(body["MemorySizeMiB"].as_u64().unwrap_or(0)))
+    } else if ty.starts_with("#Processor.") && body["ProcessorType"] == "GPU" {
+        Some(Pool::Gpu(body["Oem"]["OFMF"]["AssignedTo"].is_string()))
+    } else if ty.starts_with("#StoragePool.") {
+        Some(Pool::Storage(body["Capacity"]["GuaranteedBytes"].as_u64().unwrap_or(0)))
+    } else {
+        None
+    }
+}
+
+/// `(cores, memory GiB)` of a system that can host a composition: a
+/// physical `ComputerSystem`, powered or in standby.
+fn free_node(stored: &StoredResource) -> Option<(u32, u64)> {
+    let body = &stored.body;
+    let state = body["Status"]["State"].as_str().unwrap_or("Enabled");
+    let usable = stored.odata_type()?.starts_with("#ComputerSystem.")
+        && body["SystemType"] == "Physical"
+        && (state == "Enabled" || state == "StandbyOffline");
+    let cores = body["ProcessorSummary"]["CoreCount"].as_u64().unwrap_or(0) as u32;
+    let memory_gib = body["MemorySummary"]["TotalSystemMemoryGiB"].as_u64().unwrap_or(0);
+    usable.then_some((cores, memory_gib))
+}
+
+impl Inventory {
+    /// Read the tree by following links (see the module doc). `bound` are
+    /// the systems the composer already assigned (excluded from the free
+    /// compute list). Every list is in path order.
+    pub fn scan(ofmf: &Ofmf, bound: &BTreeSet<ODataId>) -> Inventory {
+        let reg = &ofmf.registry;
+        let mut inv = Inventory::default();
+        let mut links = EndpointLinks::walk(reg);
+
+        for system in reg.members(&ODataId::new(top::SYSTEMS)).unwrap_or_default() {
+            if bound.contains(&system) {
                 continue;
             }
-            if bound_systems.contains(&sys_id) {
-                continue;
+            if let Ok(Some((cores, memory_gib))) = reg.read(&system, free_node) {
+                let endpoints = links.initiators.remove(&system).unwrap_or_default();
+                inv.compute.push(ComputePool {
+                    system,
+                    cores,
+                    memory_gib,
+                    endpoints,
+                });
             }
-            let state = stored.body["Status"]["State"].as_str().unwrap_or("Enabled");
-            if state != "Enabled" && state != "StandbyOffline" {
-                continue;
-            }
-            let cores = stored.body["ProcessorSummary"]["CoreCount"].as_u64().unwrap_or(0) as u32;
-            let memory_gib = stored.body["MemorySummary"]["TotalSystemMemoryGiB"]
-                .as_u64()
-                .unwrap_or(0);
-            let endpoints: BTreeMap<String, ODataId> = initiator_eps
-                .iter()
-                .filter(|(_, (_, link))| link == &sys_id)
-                .map(|(ep, (fabric, _))| (fabric.clone(), ep.clone()))
-                .collect();
-            inv.compute.push(ComputePool {
-                system: sys_id,
-                cores,
-                memory_gib,
-                endpoints,
-            });
         }
+        inv.compute.sort_by(|a, b| a.system.cmp(&b.system));
 
-        // Fabric memory: each MemoryDomain, free = size - Σ chunk sizes.
-        for dom_id in reg.ids_of_type("#MemoryDomain.") {
-            let Ok(stored) = reg.get(&dom_id) else { continue };
-            if offline(reg, &dom_id) {
-                continue;
+        for (resource, (fabric, endpoint)) in links.targets {
+            match reg.read(&resource, classify) {
+                // Free = size − Σ chunk sizes.
+                Ok(Some(Pool::Memory(total_mib))) if !offline(reg, &resource) => {
+                    let carved = used(reg, &resource.child("MemoryChunks"), "MemoryChunkSizeMiB");
+                    inv.memory.push(MemoryPool {
+                        fabric,
+                        endpoint,
+                        domain: resource,
+                        total_mib,
+                        free_mib: total_mib.saturating_sub(carved),
+                    });
+                }
+                Ok(Some(Pool::Gpu(granted))) => inv.gpus.push(GpuPool {
+                    fabric,
+                    endpoint,
+                    assigned: granted || offline(reg, &resource),
+                    processor: resource,
+                }),
+                // Free = guaranteed − Σ volume capacities in the owning
+                // service: /redfish/v1/StorageServices/{svc}/StoragePools/{pool}
+                Ok(Some(Pool::Storage(total_bytes))) if !offline(reg, &resource) => {
+                    let Some(service) = resource.parent().and_then(|pools| pools.parent()) else {
+                        continue;
+                    };
+                    let provisioned = used(reg, &service.child("Volumes"), "CapacityBytes");
+                    inv.storage.push(StoragePoolView {
+                        fabric,
+                        endpoint,
+                        pool: resource,
+                        total_bytes,
+                        free_bytes: total_bytes.saturating_sub(provisioned),
+                    });
+                }
+                _ => {}
             }
-            let total = stored.body["MemorySizeMiB"].as_u64().unwrap_or(0);
-            let chunks_col = dom_id.child("MemoryChunks");
-            let used: u64 = reg
-                .members(&chunks_col)
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|c| reg.get(c).ok())
-                .filter_map(|s| s.body["MemoryChunkSizeMiB"].as_u64())
-                .sum();
-            // The endpoint fronting this domain.
-            let Some((ep, (fabric, _))) = target_eps.iter().find(|(_, (_, link))| link == &dom_id) else {
-                continue;
-            };
-            inv.memory.push(MemoryPool {
-                fabric: fabric.clone(),
-                endpoint: ep.clone(),
-                domain: dom_id.clone(),
-                total_mib: total,
-                free_mib: total.saturating_sub(used),
-            });
         }
-
-        // GPUs: processors of type GPU fronted by a target endpoint.
-        for proc_id in reg.ids_of_type("#Processor.") {
-            let Ok(stored) = reg.get(&proc_id) else { continue };
-            if stored.body.get("ProcessorType").and_then(Value::as_str) != Some("GPU") {
-                continue;
-            }
-            let Some((ep, (fabric, _))) = target_eps.iter().find(|(_, (_, link))| link == &proc_id) else {
-                continue;
-            };
-            let assigned = stored.body["Oem"]["OFMF"]["AssignedTo"].is_string() || offline(reg, &proc_id);
-            inv.gpus.push(GpuPool {
-                fabric: fabric.clone(),
-                endpoint: ep.clone(),
-                processor: proc_id.clone(),
-                assigned,
-            });
-        }
-
-        // Storage pools: free = guaranteed − Σ volume capacities in the
-        // owning service.
-        for pool_id in reg.ids_of_type("#StoragePool.") {
-            let Ok(stored) = reg.get(&pool_id) else { continue };
-            if offline(reg, &pool_id) {
-                continue;
-            }
-            let total = stored.body["Capacity"]["GuaranteedBytes"].as_u64().unwrap_or(0);
-            // /redfish/v1/StorageServices/{svc}/StoragePools/{pool}
-            let Some(pools_col) = pool_id.parent() else { continue };
-            let Some(svc) = pools_col.parent() else { continue };
-            let used: u64 = reg
-                .members(&svc.child("Volumes"))
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|v| reg.get(v).ok())
-                .filter_map(|s| s.body["CapacityBytes"].as_u64())
-                .sum();
-            let Some((ep, (fabric, _))) = target_eps.iter().find(|(_, (_, link))| link == &pool_id) else {
-                continue;
-            };
-            inv.storage.push(StoragePoolView {
-                fabric: fabric.clone(),
-                endpoint: ep.clone(),
-                pool: pool_id.clone(),
-                total_bytes: total,
-                free_bytes: total.saturating_sub(used),
-            });
-        }
-
         inv
     }
 
@@ -278,7 +297,7 @@ mod tests {
     #[test]
     fn scan_finds_all_pool_classes() {
         let o = rig();
-        let inv = Inventory::scan(&o, &[]);
+        let inv = Inventory::scan(&o, &BTreeSet::new());
         assert_eq!(inv.compute.len(), 4, "4 shared compute nodes");
         assert_eq!(inv.memory.len(), 2, "2 CXL appliances");
         assert_eq!(inv.gpus.len(), 2, "2 pooled GPUs");
@@ -293,11 +312,11 @@ mod tests {
     #[test]
     fn bound_systems_are_excluded() {
         let o = rig();
-        let all = Inventory::scan(&o, &[]);
-        let bound = vec![all.compute[0].system.clone()];
+        let all = Inventory::scan(&o, &BTreeSet::new());
+        let bound = BTreeSet::from([all.compute[0].system.clone()]);
         let inv = Inventory::scan(&o, &bound);
         assert_eq!(inv.compute.len(), 3);
-        assert!(!inv.compute.iter().any(|c| c.system == bound[0]));
+        assert!(!inv.compute.iter().any(|c| bound.contains(&c.system)));
     }
 
     #[test]
@@ -327,7 +346,7 @@ mod tests {
             }),
         )
         .unwrap();
-        let inv = Inventory::scan(&o, &[]);
+        let inv = Inventory::scan(&o, &BTreeSet::new());
         assert_eq!(inv.free_memory_mib(), (2 << 20) - 1024);
         let mem00 = inv.memory.iter().find(|m| m.domain.as_str().contains("mem00")).unwrap();
         assert_eq!(mem00.free_mib, (1 << 20) - 1024);
@@ -343,7 +362,31 @@ mod tests {
                 None,
             )
             .unwrap();
-        let inv = Inventory::scan(&o, &[]);
+        let inv = Inventory::scan(&o, &BTreeSet::new());
         assert_eq!(inv.memory.len(), 1);
+    }
+
+    /// One endpoint fronting two entities keeps both: the maps are keyed by
+    /// entity link, not by endpoint id (where the second entity used to
+    /// overwrite the first).
+    #[test]
+    fn endpoint_with_two_connected_entities_fronts_both() {
+        let o = rig();
+        let ep = ODataId::new("/redfish/v1/Fabrics/CXL0/Endpoints/mem00-ep");
+        let entity = |link: &str| serde_json::json!({"EntityRole": "Target", "EntityLink": {"@odata.id": link}});
+        o.registry
+            .patch(
+                &ep,
+                &serde_json::json!({"ConnectedEntities": [
+                    entity("/redfish/v1/Chassis/mem00/MemoryDomains/dom0"),
+                    entity("/redfish/v1/Chassis/mem01/MemoryDomains/dom0"),
+                ]}),
+                None,
+            )
+            .unwrap();
+        let inv = Inventory::scan(&o, &BTreeSet::new());
+        assert_eq!(inv.memory.len(), 2);
+        // mem01's own endpoint sorts after mem00-ep, so the shared one wins.
+        assert!(inv.memory.iter().all(|m| m.endpoint == ep), "{:?}", inv.memory);
     }
 }

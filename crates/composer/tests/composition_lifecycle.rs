@@ -257,3 +257,66 @@ fn all_strategies_compose_successfully() {
         c.decompose(&composed.system).unwrap();
     }
 }
+
+/// Picking a free node and marking it taken is one critical section: N
+/// threads racing for M < N×k free nodes never share one, exactly M
+/// composes succeed and every loser is refused with 507.
+#[test]
+fn concurrent_composes_never_share_a_node() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 3;
+    for round in 0..8 {
+        let (o, _) = rig();
+        let c = Composer::new(Arc::clone(&o), Strategy::TopologyAware);
+        let free_nodes = c.inventory().compute.len();
+        assert!(free_nodes < THREADS * PER_THREAD);
+        // Every thread is past the barrier before any compose starts, so
+        // their inventory reads overlap.
+        let start = std::sync::Barrier::new(THREADS);
+        let outcomes: Vec<Result<ODataId, RedfishError>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (c, start) = (&c, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..PER_THREAD)
+                            .map(|i| {
+                                let req = CompositionRequest::compute_only(&format!("r{round}-t{t}-{i}"), 8, 8)
+                                    .with_fabric_memory_mib(1024);
+                                c.compose(&req).map(|composed| composed.node)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("compose thread"))
+                .collect()
+        });
+        let nodes: Vec<&ODataId> = outcomes.iter().filter_map(|r| r.as_ref().ok()).collect();
+        let distinct: std::collections::BTreeSet<&ODataId> = nodes.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            nodes.len(),
+            "round {round}: a node was double-booked: {nodes:?}"
+        );
+        assert_eq!(
+            nodes.len(),
+            free_nodes,
+            "round {round}: every free node is used exactly once"
+        );
+        for refused in outcomes.iter().filter_map(|r| r.as_ref().err()) {
+            assert_eq!(refused.http_status(), 507, "round {round}: {refused}");
+        }
+        assert!(c.inventory().compute.is_empty());
+        // The reservations of the refused and the committed are all released:
+        // decomposing everything frees every node again.
+        for composed in c.compositions() {
+            c.decompose(&composed.system).unwrap();
+        }
+        assert_eq!(c.inventory().compute.len(), free_nodes);
+        assert_eq!(c.inventory().free_memory_mib(), 2 << 20);
+        assert!(o.registry.dangling_links().is_empty());
+    }
+}

@@ -1,6 +1,9 @@
 //! Property tests: policy arithmetic, accounting bounds, the composer's
-//! conservation law (compose ∘ decompose = identity on the inventory), and
-//! batched probing against a one-probe-per-pair reference.
+//! conservation law (compose ∘ decompose = identity on the inventory),
+//! batched probing against a one-probe-per-pair reference, and the
+//! link-following inventory against a full type scan of the tree.
+
+mod oracle;
 
 use composer::accounting::{composable_outcome, heterogeneous_mix, static_outcome, PowerModel, StaticNodeShape};
 use composer::inventory::MemoryPool;
@@ -14,7 +17,9 @@ use ofmf_agents::SimAgent;
 use ofmf_core::agent::AgentOp;
 use proptest::prelude::*;
 use redfish_model::odata::ODataId;
+use redfish_model::path::top;
 use redfish_model::RedfishError;
+use serde_json::json;
 use std::sync::Arc;
 
 fn demo_rig(seed: u64) -> DemoRig {
@@ -237,4 +242,77 @@ proptest! {
         prop_assert_eq!(before.free_storage_bytes(), after.free_storage_bytes());
         prop_assert!(rig.ofmf.registry.dangling_links().is_empty());
     }
+
+    /// The old scan is the oracle: after every step of a random sequence of
+    /// compose / decompose / grow / attach / `Status.State` PATCHes on
+    /// chassis, domains and nodes / agent unmount, following links finds
+    /// exactly what a type scan of the whole tree finds, in the same order.
+    #[test]
+    fn link_following_inventory_equals_full_type_scan(
+        ops in prop::collection::vec((0usize..8, 0usize..8, 1u64..4096), 1..24),
+    ) {
+        let rig = demo_rig(4711);
+        let composer = Composer::new(Arc::clone(&rig.ofmf), Strategy::TopologyAware);
+        let reg = &rig.ofmf.registry;
+        let patchable: Vec<ODataId> = ["Chassis/mem00", "Chassis/mem01/MemoryDomains/dom0", "Chassis/gpu01", "Systems/cn02"]
+            .iter()
+            .map(|p| ODataId::new(format!("/redfish/v1/{p}")))
+            .collect();
+        for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+            let live = composer.compositions();
+            let pick = live.get(a % live.len().max(1)).map(|c| c.system.clone());
+            // Refusals (507, a fabric that is gone) are part of the walk:
+            // whatever an op did or did not do, the two views must agree.
+            match (kind, pick) {
+                (0 | 1, _) => {
+                    let req = CompositionRequest::compute_only(&format!("s{step}"), 8, 8)
+                        .with_fabric_memory_mib(b)
+                        .with_gpus((a % 3 == 0) as u32)
+                        .with_storage_bytes((a as u64 % 2) * (b << 20));
+                    let _ = composer.compose(&req);
+                }
+                (2, Some(system)) => composer.decompose(&system).unwrap(),
+                (3, Some(system)) => drop(composer.grow_memory(&system, b)),
+                (4, Some(system)) => drop(composer.attach_storage(&system, b << 20)),
+                (5 | 6, _) => {
+                    let state = ["Enabled", "UnavailableOffline", "StandbyOffline"][b as usize % 3];
+                    reg.patch(&patchable[a % patchable.len()], &json!({"Status": {"State": state}}), None).unwrap();
+                }
+                (7, _) => drop(rig.ofmf.unregister_agent(["CXL0", "NVME0", "IB0"][a % 3])),
+                _ => {}
+            }
+            oracle::assert_same(&composer.inventory(), &oracle::full_scan(&composer), &format!("after step {step} (op {kind})"));
+        }
+    }
+}
+
+/// The scan's cost and its result follow the pools, not the tree: 2 000
+/// chassis no endpoint links to change neither view. What is *meant* to
+/// differ is reachability — a `#ComputerSystem.` document outside `Systems`
+/// is a compute node to the type scan and invisible to a client following
+/// links, so the composer never places anything on it.
+#[test]
+fn unrelated_chassis_leave_the_inventory_unchanged() {
+    let rig = demo_rig(2000);
+    let composer = Composer::new(Arc::clone(&rig.ofmf), Strategy::FirstFit);
+    let reg = &rig.ofmf.registry;
+    composer
+        .compose(&CompositionRequest::compute_only("busy", 8, 8).with_fabric_memory_mib(2048))
+        .unwrap();
+    let before = composer.inventory();
+    oracle::add_unrelated_chassis(reg, 2000);
+    oracle::assert_same(&composer.inventory(), &before, "after 2 000 unrelated chassis");
+    oracle::assert_same(&before, &oracle::full_scan(&composer), "against the type scan");
+
+    let stray = ODataId::new(top::CHASSIS).child("client0000").child("stray-node");
+    let body = json!({"@odata.type": "#ComputerSystem.v1_20_0.ComputerSystem", "SystemType": "Physical",
+        "ProcessorSummary": {"CoreCount": 64}, "MemorySummary": {"TotalSystemMemoryGiB": 512}});
+    reg.create(&stray, body).unwrap();
+    oracle::assert_same(&composer.inventory(), &before, "after a stray ComputerSystem");
+    let scanned = oracle::full_scan(&composer);
+    assert!(
+        scanned.compute.iter().any(|c| c.system == stray),
+        "the type scan does see it"
+    );
+    assert_eq!(scanned.compute.len(), before.compute.len() + 1);
 }

@@ -20,7 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use redfish_model::odata::{ETag, ODataId};
 use redfish_model::path::{fabric_id_of, top};
 use redfish_model::resources::events::EventType;
-use redfish_model::{RedfishError, RedfishResult, Registry};
+use redfish_model::{RedfishError, RedfishResult, Registry, StoredResource};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -917,8 +917,11 @@ impl Ofmf {
         }
         let mut prior = Vec::with_capacity(ids.len());
         for id in ids {
-            let Ok(stored) = self.registry.get(&id) else { continue };
-            prior.push((id.clone(), stored.body.get("Status").cloned().unwrap_or(Value::Null)));
+            let status = |s: &StoredResource| s.body.get("Status").cloned().unwrap_or(Value::Null);
+            let Ok(status) = self.registry.read(&id, status) else {
+                continue;
+            };
+            prior.push((id.clone(), status));
             let _ = self.registry.patch(
                 &id,
                 &json!({"Status": {"State": "UnavailableOffline", "Health": "Critical"}}),
@@ -988,8 +991,7 @@ impl Ofmf {
         let _span = ofmf_obs::Trace::begin(&tree_metrics().get);
         let mut tspan = ofmf_obs::child_span("ofmf.tree.get");
         tspan.annotate("path", path.as_str());
-        let stored = self.registry.get(path)?;
-        Ok((stored.wire_body(), stored.etag))
+        self.registry.read(path, |stored| (stored.wire_body(), stored.etag))
     }
 
     /// `GET` a resource as pre-serialized wire bytes, served from the
@@ -1112,8 +1114,8 @@ impl Ofmf {
     /// the change. (On real hardware the responsible agent would drive the
     /// BMC; the emulator transitions the resource directly.)
     pub fn reset_system(&self, system: &ODataId, reset_type: &str) -> RedfishResult<()> {
-        let stored = self.registry.get(system)?;
-        if stored.odata_type().is_none_or(|t| !t.starts_with("#ComputerSystem.")) {
+        let is_system = |s: &StoredResource| s.odata_type().is_some_and(|t| t.starts_with("#ComputerSystem."));
+        if !self.registry.read(system, is_system)? {
             return Err(RedfishError::MethodNotAllowed(format!(
                 "{system} is not a ComputerSystem"
             )));

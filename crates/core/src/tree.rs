@@ -194,8 +194,8 @@ pub fn mount_subtree(reg: &Registry, inventory: &[(ODataId, Value)]) -> RedfishR
                 // does not know about dynamically created members (zones,
                 // connections, carves) replayed from the journal. Union the
                 // member lists so replayed children stay reachable.
-                if let Ok(existing) = reg.get(id) {
-                    let mut members: Vec<Value> = body["Members"].as_array().cloned().unwrap_or_default();
+                let mut members: Vec<Value> = body["Members"].as_array().cloned().unwrap_or_default();
+                let _ = reg.read(id, |existing| {
                     for m in existing.body["Members"].as_array().into_iter().flatten() {
                         let known = m["@odata.id"]
                             .as_str()
@@ -204,10 +204,10 @@ pub fn mount_subtree(reg: &Registry, inventory: &[(ODataId, Value)]) -> RedfishR
                             members.push(m.clone());
                         }
                     }
-                    if let Some(obj) = body.as_object_mut() {
-                        obj.insert("Members@odata.count".into(), serde_json::json!(members.len() as u64));
-                        obj.insert("Members".into(), Value::Array(members));
-                    }
+                });
+                if let Some(obj) = body.as_object_mut() {
+                    obj.insert("Members@odata.count".into(), serde_json::json!(members.len() as u64));
+                    obj.insert("Members".into(), Value::Array(members));
                 }
             }
             reg.replace(id, body)?;

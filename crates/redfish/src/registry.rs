@@ -248,7 +248,7 @@ impl Registry {
     }
 
     /// Read-lock every shard in ascending order: a consistent snapshot for
-    /// whole-tree reads (link sweeps, type scans, iteration).
+    /// whole-tree reads (link sweeps, iteration).
     fn read_all(&self) -> Vec<RwLockReadGuard<'_, Tree>> {
         self.shards.iter().map(|s| s.tree.read()).collect() // ofmf-lint: allow(lock-discipline, "shards are visited in ascending index order on every multi-shard path")
     }
@@ -356,6 +356,14 @@ impl Registry {
             .get(id)
             .cloned()
             .ok_or_else(|| RedfishError::NotFound(id.clone()))
+    }
+
+    /// Run `f` over the resource at `id` under its shard's read lock, without
+    /// cloning it — for callers that look at a member or two. `f` must be
+    /// fast and must not reenter the registry.
+    pub fn read<R>(&self, id: &ODataId, f: impl FnOnce(&StoredResource) -> R) -> RedfishResult<R> {
+        let t = self.shard(id).tree.read();
+        t.nodes.get(id).map(f).ok_or_else(|| RedfishError::NotFound(id.clone()))
     }
 
     /// The serialized wire body of `id` (the bytes a GET returns) plus its
@@ -545,23 +553,6 @@ impl Registry {
         for t in &guards {
             out.extend(t.descendants(prefix).map(|(k, _)| k.clone()));
         }
-        out.sort();
-        out
-    }
-
-    /// All ids whose `@odata.type` starts with `type_prefix`
-    /// (e.g. `#Endpoint.` matches every Endpoint version), in path order.
-    pub fn ids_of_type(&self, type_prefix: &str) -> Vec<ODataId> {
-        let guards = self.read_all();
-        let mut out: Vec<ODataId> = guards
-            .iter()
-            .flat_map(|t| {
-                t.nodes
-                    .iter()
-                    .filter(|(_, n)| n.odata_type().is_some_and(|ty| ty.starts_with(type_prefix)))
-                    .map(|(k, _)| k.clone())
-            })
-            .collect();
         out.sort();
         out
     }
@@ -957,18 +948,6 @@ mod tests {
         r.patch(&id, &json!({"Name": "b"}), None).unwrap();
         let s = r.get(&id).unwrap();
         assert_eq!(s.wire_body()["@odata.etag"], s.etag.to_header());
-    }
-
-    #[test]
-    fn ids_of_type_matches_prefix() {
-        let (r, col) = reg_with_collection();
-        r.create(
-            &col.child("cn01"),
-            json!({"@odata.type": "#ComputerSystem.v1_20_0.ComputerSystem"}),
-        )
-        .unwrap();
-        let ids = r.ids_of_type("#ComputerSystem.");
-        assert_eq!(ids.len(), 1);
     }
 
     // ---------------------------------------------------- sharding + cache

@@ -10,6 +10,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
+/// Every test here replays torn logs, which bumps the process-wide
+/// `ofmf.wal.torn_tail.total` that the truncation test reads around its own
+/// replays; cargo runs tests on parallel threads, so they take turns.
+static TORN_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "ofmf-torn-{tag}-{}-{}",
@@ -45,6 +50,7 @@ fn build_log(tag: &str, n: u64) -> (PathBuf, Vec<u8>, Vec<usize>) {
 
 #[test]
 fn truncation_at_every_offset_of_the_last_record_recovers_prefix() {
+    let _turn = TORN_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let (dir, bytes, ends) = build_log("trunc", 5);
     let log = dir.join("wal.log");
     let last_start = ends[ends.len() - 2]; // end of record 3 = start of record 4
@@ -81,6 +87,7 @@ fn truncation_at_every_offset_of_the_last_record_recovers_prefix() {
 
 #[test]
 fn bit_flip_at_every_byte_of_the_last_record_recovers_prefix() {
+    let _turn = TORN_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let (dir, bytes, ends) = build_log("flip", 4);
     let log = dir.join("wal.log");
     let last_start = ends[ends.len() - 2];
@@ -107,6 +114,7 @@ fn bit_flip_at_every_byte_of_the_last_record_recovers_prefix() {
 
 #[test]
 fn garbage_appended_after_valid_log_is_dropped() {
+    let _turn = TORN_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let (dir, bytes, _) = build_log("garbage", 3);
     let log = dir.join("wal.log");
     for garbage in [&b"\x00\x00"[..], &b"totally not a frame"[..], &[0xffu8; 64][..]] {
@@ -125,6 +133,7 @@ fn garbage_appended_after_valid_log_is_dropped() {
 
 #[test]
 fn appends_after_torn_boot_extend_the_recovered_prefix() {
+    let _turn = TORN_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let (dir, bytes, _) = build_log("extend", 3);
     let log = dir.join("wal.log");
     std::fs::write(&log, &bytes[..bytes.len() - 1]).expect("tear one byte");

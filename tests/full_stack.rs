@@ -1,9 +1,15 @@
 //! Full-stack integration: agents → OFMF → Composability Manager → REST,
 //! all live in one process, observed over real sockets.
 
+// The composer crate's test-side reference scan, shared by path so the
+// tier-1 command (root package only) guards the link-following inventory.
+#[path = "../crates/composer/tests/oracle/mod.rs"]
+mod oracle;
+
 use composer::{Composer, CompositionRequest, Strategy};
 use ofmf_repro::demo_rig;
 use ofmf_rest::{HttpClient, RestServer, Router};
+use redfish_model::odata::ODataId;
 use serde_json::json;
 use std::sync::Arc;
 
@@ -164,4 +170,46 @@ fn tree_has_no_dangling_links_through_lifecycle() {
     assert!(rig.ofmf.registry.dangling_links().is_empty(), "while composed");
     composer.decompose(&composed.system).unwrap();
     assert!(rig.ofmf.registry.dangling_links().is_empty(), "after decompose");
+}
+
+/// A thin slice of `prop_composer.rs`'s oracle property and its 2 000-chassis
+/// test: through one fixed lifecycle the link-following inventory equals a
+/// full type scan of the tree, and resources no endpoint links to change
+/// neither. (Where the two are meant to differ — a `#ComputerSystem.`
+/// outside `Systems` — is pinned in the composer crate's own test.)
+#[test]
+fn link_following_inventory_matches_full_type_scan() {
+    let rig = demo_rig(306);
+    let composer = Composer::new(Arc::clone(&rig.ofmf), Strategy::TopologyAware);
+    let reg = &rig.ofmf.registry;
+    let check = |when: &str| {
+        let walked = composer.inventory();
+        oracle::assert_same(&walked, &oracle::full_scan(&composer), when);
+        walked
+    };
+    check("on the fresh rig");
+    let req = CompositionRequest::compute_only("slice", 8, 8)
+        .with_fabric_memory_mib(4096)
+        .with_gpus(1)
+        .with_storage_bytes(1 << 30);
+    let system = composer.compose(&req).unwrap().system;
+    check("after compose");
+    composer.grow_memory(&system, 2048).unwrap();
+    composer.attach_storage(&system, 1 << 28).unwrap();
+    check("after grow + attach");
+    let offline = json!({"Status": {"State": "UnavailableOffline"}});
+    reg.patch(&ODataId::new("/redfish/v1/Chassis/mem01"), &offline, None)
+        .unwrap();
+    assert_eq!(check("with an appliance chassis offline").memory.len(), 1);
+    rig.ofmf.unregister_agent("NVME0").unwrap();
+    assert!(check("after the NVMe agent unmounts").storage.is_empty());
+    composer.decompose(&system).unwrap();
+    let before = check("after decompose");
+
+    oracle::add_unrelated_chassis(reg, 2000);
+    oracle::assert_same(
+        &check("with 2 000 unrelated chassis"),
+        &before,
+        "against the rig without them",
+    );
 }
