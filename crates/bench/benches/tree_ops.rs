@@ -72,10 +72,11 @@ fn bench_tree_ops(c: &mut Criterion) {
 }
 
 /// A tree with `n` systems spread across several top-level collections —
-/// the shape where lock striping pays.
-fn striped_tree(n: usize) -> (Registry, Vec<ODataId>) {
+/// the shape where lock striping pays — journaled to `journal` from the
+/// first create when one is given.
+fn striped_tree(n: usize, journal: Option<std::sync::Arc<ofmf_wal::Wal>>) -> (Registry, Vec<ODataId>) {
     const TOPS: &[&str] = &["Systems", "Chassis", "Fabrics", "StorageServices"];
-    let reg = Registry::new();
+    let reg = Registry::new().with_journal(journal);
     let root = ODataId::new("/redfish/v1");
     reg.create(&root, json!({"Name": "root"})).unwrap();
     for t in TOPS {
@@ -116,13 +117,13 @@ fn bench_mixed_rw(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_ops_mixed_rw");
     group.throughput(Throughput::Elements(BATCH as u64));
     for &(wal, name) in &[(false, "sharded_cached"), (true, "sharded_cached_wal")] {
-        let (reg, ids) = striped_tree(10_000);
         let wal_dir = std::env::temp_dir().join(format!("ofmf-bench-treeops-wal-{}", std::process::id()));
-        if wal {
+        let journal = wal.then(|| {
             let _ = std::fs::remove_dir_all(&wal_dir);
             let journal = ofmf_wal::Wal::open(&wal_dir, ofmf_wal::FsyncPolicy::Batch(5)).expect("temp WAL dir");
-            reg.set_journal(Some(std::sync::Arc::new(journal)));
-        }
+            std::sync::Arc::new(journal)
+        });
+        let (reg, ids) = striped_tree(10_000, journal);
         let reg = std::sync::Arc::new(reg);
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..2usize)
@@ -165,7 +166,6 @@ fn bench_mixed_rw(c: &mut Criterion) {
             w.join().unwrap();
         }
         if wal {
-            reg.set_journal(None);
             let _ = std::fs::remove_dir_all(&wal_dir);
         }
     }

@@ -31,8 +31,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// real control plane leaves behind.
 fn journal_with(dir: &PathBuf, n: usize, policy: FsyncPolicy) -> std::sync::Arc<Wal> {
     let wal = std::sync::Arc::new(Wal::open(dir, policy).expect("temp WAL dir"));
-    let reg = Registry::new();
-    reg.set_journal(Some(std::sync::Arc::clone(&wal)));
+    let reg = Registry::new().with_journal(Some(std::sync::Arc::clone(&wal)));
     let root = ODataId::new("/redfish/v1");
     reg.create(&root, json!({"Name": "root"})).expect("fresh tree");
     let col = root.child("Systems");

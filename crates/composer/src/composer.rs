@@ -7,10 +7,10 @@
 //! grow/shrink/fail-over local — rebinding memory never touches the zones of
 //! other bindings.
 
-use crate::inventory::{endpoints_of, Inventory};
+use crate::inventory::{endpoints_of, Inventory, MemoryPool};
 use crate::policy::PolicySet;
 use crate::probe::Prober;
-use crate::request::{Binding, BindingKind, ComposedSystem, CompositionRequest};
+use crate::request::{Binding, BindingKind, ComposedSystem, CompositionRequest, Planned};
 use crate::strategy::{choose_gpu, choose_memory, choose_storage, Strategy};
 use ofmf_core::Ofmf;
 use ofmf_wal::WalRecord;
@@ -195,6 +195,12 @@ impl Composer {
     }
 
     fn compose_inner(&self, request: &CompositionRequest) -> RedfishResult<ComposedSystem> {
+        // A taken name (a client retrying its Compose POST) is refused
+        // before anything is planned, journaled or bound.
+        let sys_id = ODataId::new(top::SYSTEMS).child(&request.name);
+        if self.ofmf.registry.exists(&sys_id) {
+            return Err(RedfishError::AlreadyExists(sys_id));
+        }
         let inv = self.inventory();
 
         // 1. Pick the compute node and mark it taken in one critical
@@ -220,18 +226,19 @@ impl Composer {
         };
 
         // 2. Plan the fabric bindings (sizes + targets) up front so failures
-        //    happen before any mutation.
-        let mut planned: Vec<(String, ODataId, ODataId, u64, BindingKind)> = Vec::new();
-        // (fabric, target endpoint, bound resource placeholder, size, kind)
+        //    happen before any mutation. Member ids are allocated in step 3.
+        use BindingKind::{Gpu, Memory, Storage};
+        let memory = |p: &MemoryPool, size| Planned::new(&p.fabric, &p.endpoint, &p.domain, size, Memory);
+        let mut planned: Vec<Planned> = Vec::new();
 
         if request.fabric_memory_mib > 0 {
             if request.spread_memory {
-                let eligible: Vec<&crate::inventory::MemoryPool> = inv
+                let eligible: Vec<&MemoryPool> = inv
                     .memory
                     .iter()
                     .filter(|p| node.endpoints.contains_key(&p.fabric))
                     .collect();
-                let plan = self
+                let chunks = self
                     .policy
                     .spread_plan(&eligible, request.fabric_memory_mib)
                     .ok_or_else(|| {
@@ -240,19 +247,13 @@ impl Composer {
                             request.fabric_memory_mib, self.policy.max_memory_spread
                         ))
                     })?;
-                for (idx, size) in plan {
+                for (idx, size) in chunks {
                     // ofmf-lint: allow(no-panic-path, "spread_plan yields indices into the eligible slice it was given")
                     let p = eligible[idx];
-                    planned.push((
-                        p.fabric.clone(),
-                        p.endpoint.clone(),
-                        p.domain.clone(),
-                        size,
-                        BindingKind::Memory,
-                    ));
+                    planned.push(memory(p, size));
                 }
             } else {
-                let eligible: Vec<crate::inventory::MemoryPool> = inv
+                let eligible: Vec<MemoryPool> = inv
                     .memory
                     .iter()
                     .filter(|p| self.policy.allows_carve(p, request.fabric_memory_mib))
@@ -273,13 +274,7 @@ impl Composer {
                         request.fabric_memory_mib
                     ))
                 })?;
-                planned.push((
-                    p.fabric.clone(),
-                    p.endpoint.clone(),
-                    p.domain.clone(),
-                    request.fabric_memory_mib,
-                    BindingKind::Memory,
-                ));
+                planned.push(memory(p, request.fabric_memory_mib));
             }
         }
 
@@ -294,7 +289,13 @@ impl Composer {
                 .find(|g| g.processor == chosen.processor)
                 .ok_or_else(|| RedfishError::Internal("chosen GPU vanished from inventory".into()))?
                 .assigned = true;
-            planned.push((chosen.fabric, chosen.endpoint, chosen.processor, 1, BindingKind::Gpu));
+            planned.push(Planned::new(
+                &chosen.fabric,
+                &chosen.endpoint,
+                &chosen.processor,
+                1,
+                Gpu,
+            ));
         }
 
         if request.storage_bytes > 0 {
@@ -313,48 +314,27 @@ impl Composer {
                     request.storage_bytes
                 ))
             })?;
-            planned.push((
-                p.fabric.clone(),
-                p.endpoint.clone(),
-                p.pool.clone(),
+            planned.push(Planned::new(
+                &p.fabric,
+                &p.endpoint,
+                &p.pool,
                 request.storage_bytes,
-                BindingKind::Storage,
+                Storage,
             ));
         }
 
         // 3. Journal the intent — with zone/connection member ids allocated
         //    up front — BEFORE any agent mutation, so a crash mid-bind leaves
         //    a WAL record naming every path recovery must inspect.
-        let sys_col = ODataId::new(top::SYSTEMS);
-        let sys_id = sys_col.child(&request.name);
-        let planned: Vec<(String, ODataId, ODataId, u64, BindingKind, String, String)> = planned
-            .into_iter()
-            .map(|(fabric, target_ep, hint, size, kind)| {
-                let zone_id = self.ofmf.next_member_id("z");
-                let conn_id = self.ofmf.next_member_id("c");
-                (fabric, target_ep, hint, size, kind, zone_id, conn_id)
-            })
-            .collect();
+        for p in &mut planned {
+            p.zone_id = self.ofmf.next_member_id("z");
+            p.conn_id = self.ofmf.next_member_id("c");
+        }
         self.ofmf.wal_record(WalRecord::ComposeIntent {
             system: sys_id.as_str().to_string(),
             node: node.system.as_str().to_string(),
             request: request.to_value(),
-            planned: Value::Array(
-                planned
-                    .iter()
-                    .map(|(fabric, target_ep, hint, size, kind, zone_id, conn_id)| {
-                        json!({
-                            "Fabric": fabric.as_str(),
-                            "Target": target_ep.as_str(),
-                            "Resource": hint.as_str(),
-                            "Size": *size,
-                            "Kind": kind.label(),
-                            "ZoneId": zone_id.as_str(),
-                            "ConnId": conn_id.as_str(),
-                        })
-                    })
-                    .collect(),
-            ),
+            planned: Value::Array(planned.iter().map(Planned::to_value).collect()),
         });
         let abort = |bindings: &[Binding]| {
             self.unbind_all(bindings);
@@ -366,8 +346,9 @@ impl Composer {
         // 4. Execute: bind each planned resource; roll everything back on
         //    the first failure.
         let mut bindings: Vec<Binding> = Vec::with_capacity(planned.len());
-        for (fabric, target_ep, _resource_hint, size, kind, zone_id, conn_id) in planned {
-            let Some(initiator) = node.endpoints.get(&fabric).cloned() else {
+        for p in &planned {
+            let fabric = &p.fabric;
+            let Some(initiator) = node.endpoints.get(fabric) else {
                 // Planner invariant broken (fabric dropped mid-compose):
                 // compensate before surfacing.
                 abort(&bindings);
@@ -376,12 +357,7 @@ impl Composer {
                     node.system
                 )));
             };
-            let qos = match kind {
-                BindingKind::Memory => request.memory_bandwidth_gbps,
-                BindingKind::Storage => request.storage_bandwidth_gbps,
-                BindingKind::Gpu => request.gpu_bandwidth_gbps,
-            };
-            match self.bind(&fabric, &initiator, &target_ep, size, kind, qos, &zone_id, &conn_id) {
+            match self.bind(p, initiator, request.bandwidth_gbps(p.kind)) {
                 Ok(b) => {
                     self.ofmf.wal_record(WalRecord::BindDone {
                         system: sys_id.as_str().to_string(),
@@ -394,7 +370,7 @@ impl Composer {
                     // surviving fabrics, then name the fabric that failed so
                     // the 503 is actionable.
                     abort(&bindings);
-                    return Err(name_failed_fabric(e, &fabric));
+                    return Err(name_failed_fabric(e, fabric));
                 }
             }
         }
@@ -444,20 +420,11 @@ impl Composer {
         Ok(composed)
     }
 
-    /// Create the zone + connection for one binding. The member ids are
-    /// allocated by the caller so they can be journaled before any mutation.
-    #[allow(clippy::too_many_arguments)]
-    fn bind(
-        &self,
-        fabric: &str,
-        initiator: &ODataId,
-        target_ep: &ODataId,
-        size: u64,
-        kind: BindingKind,
-        qos_gbps: f64,
-        zone_id: &str,
-        conn_id: &str,
-    ) -> RedfishResult<Binding> {
+    /// Create the zone + connection for one planned binding. Its member ids
+    /// were allocated by the caller so they could be journaled before any
+    /// mutation.
+    fn bind(&self, plan: &Planned, initiator: &ODataId, qos_gbps: f64) -> RedfishResult<Binding> {
+        let (fabric, target_ep, size, kind) = (plan.fabric.as_str(), &plan.target, plan.size, plan.kind);
         let mut bspan = ofmf_obs::child_span("ofmf.composer.bind");
         bspan.annotate("fabric", fabric);
         bspan.annotate("kind", kind.label());
@@ -467,7 +434,7 @@ impl Composer {
         let zone = self.ofmf.post(
             &fabric_root.child("Zones"),
             &json!({
-                "Id": zone_id,
+                "Id": plan.zone_id.as_str(),
                 "Links": {"Endpoints": [
                     {"@odata.id": initiator.as_str()},
                     {"@odata.id": target_ep.as_str()},
@@ -477,7 +444,7 @@ impl Composer {
         let connection = match self.ofmf.post(
             &fabric_root.child("Connections"),
             &json!({
-                "Id": conn_id,
+                "Id": plan.conn_id.as_str(),
                 "Zone": {"@odata.id": zone.as_str()},
                 "Size": size,
                 "BandwidthGbps": qos_gbps,
@@ -571,7 +538,7 @@ impl Composer {
     pub fn grow_memory(&self, system: &ODataId, extra_mib: u64) -> RedfishResult<Binding> {
         let node_endpoints = endpoints_of(&self.ofmf, &self.node_of(system)?);
         let inv = self.inventory();
-        let eligible: Vec<crate::inventory::MemoryPool> = inv
+        let eligible: Vec<MemoryPool> = inv
             .memory
             .iter()
             .filter(|p| self.policy.allows_carve(p, extra_mib))
@@ -589,40 +556,19 @@ impl Composer {
         let pool = chosen
             .ok_or_else(|| RedfishError::InsufficientResources(format!("no pool can grow by {extra_mib} MiB")))?
             .clone();
-        let initiator = node_endpoints
-            .get(&pool.fabric)
-            .ok_or_else(|| RedfishError::Internal("node lost its fabric endpoint".into()))?
-            .clone();
-        let qos = {
-            let state = self.state.lock();
-            state
-                .live
-                .get(system)
-                .map(|c| c.request.memory_bandwidth_gbps)
-                .unwrap_or(0.0)
-        };
-        let zone_id = self.ofmf.next_member_id("z");
-        let conn_id = self.ofmf.next_member_id("c");
-        let binding = self.bind(
+        let plan = Planned::new(
             &pool.fabric,
-            &initiator,
             &pool.endpoint,
+            &pool.domain,
             extra_mib,
             BindingKind::Memory,
-            qos,
-            &zone_id,
-            &conn_id,
-        )?;
-        self.ofmf.wal_record(WalRecord::BindAdded {
-            system: system.as_str().to_string(),
-            binding: binding.to_value(),
-        });
-        let mut state = self.state.lock();
+        );
+        let binding = self.add_binding(system, &node_endpoints, plan)?;
+        let state = self.state.lock();
         let c = state
             .live
-            .get_mut(system)
+            .get(system)
             .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
-        c.bindings.push(binding.clone());
         let node_gib = self
             .ofmf
             .registry
@@ -664,30 +610,34 @@ impl Composer {
         let pool = chosen
             .ok_or_else(|| RedfishError::InsufficientResources(format!("no storage pool with {bytes} bytes")))?
             .clone();
+        let plan = Planned::new(&pool.fabric, &pool.endpoint, &pool.pool, bytes, BindingKind::Storage);
+        let binding = self.add_binding(system, &node_endpoints, plan)?;
+        self.refresh_resource_blocks(system);
+        self.ofmf.events.publish(
+            EventType::ResourceUpdated,
+            system,
+            format!("attached {bytes} bytes of fabric storage"),
+            "OK",
+        );
+        Ok(binding)
+    }
+
+    /// Bind one more resource to a live composition at the composition's
+    /// QoS, journal the binding and record it.
+    fn add_binding(
+        &self,
+        system: &ODataId,
+        node_endpoints: &BTreeMap<String, ODataId>,
+        mut plan: Planned,
+    ) -> RedfishResult<Binding> {
         let initiator = node_endpoints
-            .get(&pool.fabric)
-            .ok_or_else(|| RedfishError::Internal("node lost its fabric endpoint".into()))?
-            .clone();
-        let qos = {
-            let state = self.state.lock();
-            state
-                .live
-                .get(system)
-                .map(|c| c.request.storage_bandwidth_gbps)
-                .unwrap_or(0.0)
-        };
-        let zone_id = self.ofmf.next_member_id("z");
-        let conn_id = self.ofmf.next_member_id("c");
-        let binding = self.bind(
-            &pool.fabric,
-            &initiator,
-            &pool.endpoint,
-            bytes,
-            BindingKind::Storage,
-            qos,
-            &zone_id,
-            &conn_id,
-        )?;
+            .get(&plan.fabric)
+            .ok_or_else(|| RedfishError::Internal("node lost its fabric endpoint".into()))?;
+        let live_qos = |c: &ComposedSystem| c.request.bandwidth_gbps(plan.kind);
+        let qos = self.state.lock().live.get(system).map_or(0.0, live_qos);
+        plan.zone_id = self.ofmf.next_member_id("z");
+        plan.conn_id = self.ofmf.next_member_id("c");
+        let binding = self.bind(&plan, initiator, qos)?;
         self.ofmf.wal_record(WalRecord::BindAdded {
             system: system.as_str().to_string(),
             binding: binding.to_value(),
@@ -698,14 +648,6 @@ impl Composer {
             .get_mut(system)
             .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
         c.bindings.push(binding.clone());
-        drop(state);
-        self.refresh_resource_blocks(system);
-        self.ofmf.events.publish(
-            EventType::ResourceUpdated,
-            system,
-            format!("attached {bytes} bytes of fabric storage"),
-            "OK",
-        );
         Ok(binding)
     }
 
@@ -813,7 +755,7 @@ impl Composer {
         struct Pending {
             node: String,
             request: Value,
-            planned: Value,
+            planned: Vec<Planned>,
             bindings: Vec<Binding>,
         }
         let mut pending: BTreeMap<String, Pending> = BTreeMap::new();
@@ -826,7 +768,10 @@ impl Composer {
                     request,
                     planned,
                 } => {
-                    live.remove(&system);
+                    // Only a commit replaces a live composition: an intent
+                    // naming a live system's path (two racing composes of one
+                    // name) fails at the document create and aborts.
+                    let planned = decode_all(&planned, Planned::from_value);
                     pending.insert(
                         system,
                         Pending {
@@ -864,11 +809,7 @@ impl Composer {
                     request,
                     bindings,
                 } => {
-                    let bs = bindings
-                        .as_array()
-                        .map(|a| a.iter().filter_map(Binding::from_value).collect())
-                        .unwrap_or_default();
-                    live.insert(system, (node, request, bs));
+                    live.insert(system, (node, request, decode_all(&bindings, Binding::from_value)));
                 }
                 _ => {}
             }
@@ -905,31 +846,25 @@ impl Composer {
             for b in &p.bindings {
                 self.force_unbind(b);
             }
-            if let Some(planned) = p.planned.as_array() {
-                for entry in planned {
-                    let fabric = entry.get("Fabric").and_then(Value::as_str);
-                    let zone_id = entry.get("ZoneId").and_then(Value::as_str);
-                    let conn_id = entry.get("ConnId").and_then(Value::as_str);
-                    let (Some(fabric), Some(zone_id), Some(conn_id)) = (fabric, zone_id, conn_id) else {
-                        continue;
-                    };
-                    let confirmed = p
-                        .bindings
-                        .iter()
-                        .any(|b| b.zone.leaf() == zone_id || b.connection.leaf() == conn_id);
-                    if confirmed {
-                        continue; // force_unbind already handled it
-                    }
-                    // A half-applied bind may have created the zone (or even
-                    // the connection) without a BindDone reaching the log.
-                    let froot = ODataId::new(top::FABRICS).child(fabric);
-                    self.force_delete(&froot.child("Connections").child(conn_id));
-                    self.force_delete(&froot.child("Zones").child(zone_id));
+            for plan in &p.planned {
+                let confirmed = p
+                    .bindings
+                    .iter()
+                    .any(|b| b.zone.leaf() == plan.zone_id || b.connection.leaf() == plan.conn_id);
+                if confirmed {
+                    continue; // force_unbind already handled it
                 }
+                // A half-applied bind may have created the zone (or even
+                // the connection) without a BindDone reaching the log.
+                let froot = ODataId::new(top::FABRICS).child(&plan.fabric);
+                self.force_delete(&froot.child("Connections").child(&plan.conn_id));
+                self.force_delete(&froot.child("Zones").child(&plan.zone_id));
             }
             // The system document only exists if the crash hit between
-            // create and commit; remove it with everything hanging off it.
-            if self.ofmf.registry.exists(&sys_id) {
+            // create and commit; remove it with everything hanging off it —
+            // unless it is a restored composition's, whose name this
+            // transaction took and so never got to create it.
+            if !self.state.lock().live.contains_key(&sys_id) && self.ofmf.registry.exists(&sys_id) {
                 self.ofmf.registry.delete_subtree(&sys_id);
             }
             self.ofmf.wal_record(WalRecord::ComposeAbort { system: system.clone() });
@@ -1008,6 +943,12 @@ impl Composer {
             weak.upgrade().map(|c| c.snapshot_records()).unwrap_or_default()
         })));
     }
+}
+
+/// Decode a journaled array, dropping malformed entries.
+fn decode_all<T>(array: &Value, one: fn(&Value) -> Option<T>) -> Vec<T> {
+    let entries = array.as_array().into_iter().flatten();
+    entries.filter_map(one).collect()
 }
 
 /// Record fabrics whose probe batches failed during placement on the live

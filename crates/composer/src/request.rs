@@ -102,6 +102,15 @@ impl CompositionRequest {
         self
     }
 
+    /// Bandwidth to reserve on the path of a binding of `kind` (Gbit/s).
+    pub fn bandwidth_gbps(&self, kind: BindingKind) -> f64 {
+        match kind {
+            BindingKind::Memory => self.memory_bandwidth_gbps,
+            BindingKind::Storage => self.storage_bandwidth_gbps,
+            BindingKind::Gpu => self.gpu_bandwidth_gbps,
+        }
+    }
+
     /// Encode for the durability journal. Inverse of
     /// [`CompositionRequest::from_value`].
     pub fn to_value(&self) -> Value {
@@ -213,6 +222,64 @@ impl Binding {
     }
 }
 
+/// One bind a compose has planned. `ComposeIntent.planned` journals these
+/// before any agent mutation, the zone/connection member ids allocated up
+/// front, so recovery can find (and remove) half-applied state by exact path.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Planned {
+    pub fabric: String,
+    /// The target endpoint.
+    pub target: ODataId,
+    /// The pool resource the bind carves from (domain / pool / processor).
+    pub resource: ODataId,
+    pub size: u64,
+    pub kind: BindingKind,
+    /// Member ids of the zone and the connection the bind creates.
+    pub zone_id: String,
+    pub conn_id: String,
+}
+
+impl Planned {
+    /// A plan entry whose member ids are yet to be allocated.
+    pub fn new(fabric: &str, target: &ODataId, resource: &ODataId, size: u64, kind: BindingKind) -> Self {
+        Planned {
+            fabric: fabric.to_string(),
+            target: target.clone(),
+            resource: resource.clone(),
+            size,
+            kind,
+            zone_id: String::new(),
+            conn_id: String::new(),
+        }
+    }
+
+    /// Encode for the durability journal. Inverse of [`Planned::from_value`].
+    pub fn to_value(&self) -> Value {
+        json!({
+            "Fabric": self.fabric.as_str(),
+            "Target": self.target.as_str(),
+            "Resource": self.resource.as_str(),
+            "Size": self.size,
+            "Kind": self.kind.label(),
+            "ZoneId": self.zone_id.as_str(),
+            "ConnId": self.conn_id.as_str(),
+        })
+    }
+
+    /// Decode a journaled plan entry; `None` on malformed payloads.
+    pub fn from_value(v: &Value) -> Option<Self> {
+        Some(Planned {
+            fabric: v.get("Fabric")?.as_str()?.to_string(),
+            target: ODataId::new(v.get("Target")?.as_str()?),
+            resource: ODataId::new(v.get("Resource")?.as_str()?),
+            size: v.get("Size")?.as_u64()?,
+            kind: BindingKind::parse(v.get("Kind")?.as_str()?)?,
+            zone_id: v.get("ZoneId")?.as_str()?.to_string(),
+            conn_id: v.get("ConnId")?.as_str()?.to_string(),
+        })
+    }
+}
+
 /// The record of a live composition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComposedSystem {
@@ -291,8 +358,12 @@ mod tests {
             size: 4096,
             kind: BindingKind::Memory,
         };
+        let mut p = Planned::new("CXL0", &b.zone, &b.resource, 4096, BindingKind::Memory);
+        (p.zone_id, p.conn_id) = ("z7".into(), "c8".into());
+        assert_eq!(Planned::from_value(&p.to_value()), Some(p));
         assert_eq!(Binding::from_value(&b.to_value()), Some(b));
         assert_eq!(Binding::from_value(&json!({"Fabric": "x"})), None);
+        assert_eq!(Planned::from_value(&json!({"Fabric": "x", "ZoneId": "z1"})), None);
         for k in [BindingKind::Memory, BindingKind::Storage, BindingKind::Gpu] {
             assert_eq!(BindingKind::parse(k.label()), Some(k));
         }

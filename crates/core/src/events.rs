@@ -36,7 +36,7 @@ use redfish_model::path::{top, top_segment};
 use redfish_model::resources::events::{EventDestination, EventEnvelope, EventRecord, EventType, SharedEventBody};
 use redfish_model::resources::Resource;
 use redfish_model::{RedfishError, RedfishResult, Registry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -51,6 +51,12 @@ struct Subscription {
     /// Set once the subscriber's losses have been announced as an `Alert`
     /// (fires a single time per subscription).
     drop_alerted: AtomicBool,
+}
+
+/// The name an event type goes by in the journal: its wire name, the one
+/// the `EventDestination` document carries.
+fn type_name(t: &EventType) -> Option<String> {
+    Some(serde_json::to_value(t).ok()?.as_str()?.to_string())
 }
 
 impl Subscription {
@@ -72,12 +78,7 @@ impl Subscription {
         WalRecord::Subscribe {
             id: self.id.clone(),
             destination: self.dest.destination.clone(),
-            event_types: self
-                .dest
-                .event_types
-                .iter()
-                .map(|t| event_type_label(*t).to_string())
-                .collect(),
+            event_types: self.dest.event_types.iter().filter_map(type_name).collect(),
             origins: self
                 .dest
                 .origin_resources
@@ -115,33 +116,6 @@ fn event_metrics() -> &'static EventMetrics {
         index_candidates: ofmf_obs::counter("ofmf.events.index.candidates.total"),
         index_skipped: ofmf_obs::counter("ofmf.events.index.skipped.total"),
     })
-}
-
-/// Stable wire name of an event type, used by the durability journal
-/// (`WalRecord::Subscribe` stores type filters as strings).
-pub fn event_type_label(t: EventType) -> &'static str {
-    match t {
-        EventType::StatusChange => "StatusChange",
-        EventType::ResourceAdded => "ResourceAdded",
-        EventType::ResourceRemoved => "ResourceRemoved",
-        EventType::ResourceUpdated => "ResourceUpdated",
-        EventType::Alert => "Alert",
-        EventType::MetricReport => "MetricReport",
-    }
-}
-
-/// Inverse of [`event_type_label`]; `None` for unknown names (a journal
-/// written by a future OFMF — the filter entry is skipped, not fatal).
-pub fn event_type_from_label(s: &str) -> Option<EventType> {
-    match s {
-        "StatusChange" => Some(EventType::StatusChange),
-        "ResourceAdded" => Some(EventType::ResourceAdded),
-        "ResourceRemoved" => Some(EventType::ResourceRemoved),
-        "ResourceUpdated" => Some(EventType::ResourceUpdated),
-        "Alert" => Some(EventType::Alert),
-        "MetricReport" => Some(EventType::MetricReport),
-        _ => None,
-    }
 }
 
 /// Position of an event type in the routing index's bucket array.
@@ -262,10 +236,10 @@ pub struct EventService {
     next_sub: AtomicU64,
     next_event: AtomicU64,
     queue_depth: usize,
-    /// Durability journal. Subscribe/unsubscribe records are appended while
-    /// the subscription-table lock is held, so replay order matches live
-    /// order. Lock order: subs → WAL file mutex (leaf).
-    journal: RwLock<Option<Arc<Wal>>>,
+    /// Durability journal, fixed at construction. Subscribe records are
+    /// appended while the subscription-table lock is held, so replay order
+    /// matches live order. Lock order: subs → WAL file mutex (leaf).
+    journal: Option<Arc<Wal>>,
 }
 
 impl EventService {
@@ -277,17 +251,19 @@ impl EventService {
             next_sub: AtomicU64::new(1),
             next_event: AtomicU64::new(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            journal: RwLock::new(None),
+            journal: None,
         }
     }
 
-    /// Attach (or detach) the durability journal.
-    pub fn set_journal(&self, wal: Option<Arc<Wal>>) {
-        *self.journal.write() = wal;
+    /// Journal every subscribe/unsubscribe to `wal`
+    /// ([`EventService::replay`] never journals).
+    pub fn with_journal(mut self, wal: Option<Arc<Wal>>) -> Self {
+        self.journal = wal;
+        self
     }
 
     fn journal_record(&self, rec: WalRecord) {
-        if let Some(w) = self.journal.read().as_ref() {
+        if let Some(w) = &self.journal {
             w.record(&rec);
         }
     }
@@ -321,25 +297,63 @@ impl EventService {
         Ok((id, rx))
     }
 
-    /// Re-install a subscription during WAL replay. Skips registry resource
-    /// creation (the `EventDestination` resource is rebuilt by
-    /// registry-record replay) and keeps the id allocator above every
-    /// restored id. Returns the fresh delivery receiver — the pre-crash
-    /// consumer is gone, so the queue starts empty.
-    pub fn restore_subscription(
-        &self,
-        id: &str,
-        destination: &str,
-        event_types: Vec<EventType>,
-        origin_resources: Vec<ODataId>,
-    ) -> Receiver<EventEnvelope> {
+    /// Fold the subscription records of a replayed journal (subscribe →
+    /// insert, unsubscribe → remove) and re-install what is left in id
+    /// order, the order the live subscribes indexed them in. Creates no
+    /// registry resource (the `EventDestination` documents come back through
+    /// registry-record replay), journals nothing and keeps the id allocator
+    /// above every restored id. Every queue starts empty and all but one
+    /// lose their receiver — the pre-crash consumers are gone. The one
+    /// handed back is that of the first subscription to destination `tap`,
+    /// the caller's own; a journal holding none gets one restored as id `0`.
+    pub fn replay(&self, records: &[WalRecord], tap: &str) -> Receiver<EventEnvelope> {
+        // Keyed by the numeric id first: a snapshot lists ids as strings.
+        let mut live: BTreeMap<(u64, &str), EventDestination> = BTreeMap::new();
         let subs_col = ODataId::new(top::SUBSCRIPTIONS);
-        let dest = EventDestination::new(&subs_col, id, destination, event_types, origin_resources);
-        let (sub, rx) = Subscription::open(id, dest, self.queue_depth);
-        if let Ok(n) = id.parse::<u64>() {
-            self.next_sub.fetch_max(n.saturating_add(1), Ordering::AcqRel);
+        for rec in records {
+            match rec {
+                WalRecord::Subscribe {
+                    id,
+                    destination,
+                    event_types,
+                    origins,
+                } => {
+                    // Unknown type names (a journal written by a future
+                    // OFMF) drop out of the filter; they are not fatal.
+                    let named = |s: &String| serde_json::from_value(serde_json::Value::String(s.clone())).ok();
+                    let types = event_types.iter().filter_map(named).collect();
+                    let origins = origins.iter().map(ODataId::new).collect();
+                    let dest = EventDestination::new(&subs_col, id, destination, types, origins);
+                    live.insert((id.parse().unwrap_or(u64::MAX), id), dest);
+                }
+                WalRecord::Unsubscribe { id } => {
+                    live.remove(&(id.parse().unwrap_or(u64::MAX), id));
+                }
+                _ => {}
+            }
         }
         let mut subs = self.subs.write();
+        let mut tapped = None;
+        for ((n, id), dest) in live {
+            if n != u64::MAX {
+                self.next_sub.fetch_max(n.saturating_add(1), Ordering::AcqRel);
+            }
+            let is_tap = dest.destination == tap;
+            let rx = self.enroll(&mut subs, id, dest);
+            if is_tap && tapped.is_none() {
+                tapped = Some(rx);
+            }
+        }
+        tapped.unwrap_or_else(|| {
+            let dest = EventDestination::new(&subs_col, "0", tap, Vec::new(), Vec::new());
+            self.enroll(&mut subs, "0", dest)
+        })
+    }
+
+    /// Open a subscription's queue and enter it into the table and its
+    /// routing index.
+    fn enroll(&self, subs: &mut SubTable, id: &str, dest: EventDestination) -> Receiver<EventEnvelope> {
+        let (sub, rx) = Subscription::open(id, dest, self.queue_depth);
         subs.index.insert(&sub);
         subs.by_id.insert(id.to_string(), sub);
         rx
@@ -687,6 +701,47 @@ mod tests {
             0
         );
         assert!(matches!(svc.unsubscribe(&reg, &id), Err(RedfishError::NotFound(_))));
+    }
+
+    #[test]
+    fn journaled_subscriptions_replay_to_the_live_table() {
+        let dir = std::env::temp_dir().join(format!("ofmf-events-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = Arc::new(Wal::open(&dir, ofmf_wal::FsyncPolicy::Off).unwrap());
+        let (reg, svc) = setup();
+        let svc = svc.with_journal(Some(Arc::clone(&wal)));
+        let cxl0 = ODataId::new("/redfish/v1/Fabrics/CXL0");
+        svc.subscribe(&reg, "channel://c1", vec![EventType::Alert], vec![cxl0.clone()])
+            .unwrap();
+        let (gone, _rx) = svc.subscribe(&reg, "channel://c2", vec![], vec![]).unwrap();
+        svc.unsubscribe(&reg, &gone).unwrap();
+        // Past id 9: a snapshot lists ids as strings ("10" before "3"), and
+        // replay still re-installs them in numeric order.
+        for i in 3..=11 {
+            svc.subscribe(&reg, &format!("channel://c{i}"), vec![], vec![]).unwrap();
+        }
+
+        // "Restart" from the journal, and from its compacted snapshot form.
+        for records in [wal.replay().unwrap().records, svc.snapshot_records()] {
+            let (reg2, svc2) = setup();
+            let rx = svc2.replay(&records, "channel://c1");
+            assert_eq!(svc2.snapshot_records(), svc.snapshot_records());
+            // The filters route again: into the fresh queue handed back,
+            // and to wildcard subscribers whose consumers are gone.
+            assert_eq!(
+                svc2.publish(EventType::Alert, &cxl0.child("Switches"), "down", "Critical"),
+                1
+            );
+            assert_eq!(svc2.publish(EventType::ResourceAdded, &cxl0, "zone", "OK"), 0);
+            assert_eq!((rx.len(), svc2.dropped_count("3")), (1, 2));
+            // New ids are allocated above the restored ones.
+            let (next, _rx) = svc2.subscribe(&reg2, "channel://new", vec![], vec![]).unwrap();
+            assert_eq!(next, "12");
+            // A destination the journal does not hold is restored as id 0.
+            svc2.replay(&[], "internal://tap");
+            assert_eq!(svc2.subscription_count(), 12);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::agent::{op_from_value, op_to_value, Agent, AgentInfo, AgentOp, AgentResponse};
 use crate::clock::Clock;
-use crate::events::{event_type_from_label, EventService};
+use crate::events::EventService;
 use crate::sessions::SessionService;
 use crate::supervisor::{self, AgentSupervisor, BreakerState, SupervisorConfig};
 use crate::tasks::TaskService;
@@ -104,6 +104,9 @@ pub struct Ofmf {
 /// composer's live compositions); see [`Ofmf::set_snapshot_provider`].
 pub type SnapshotProvider = Box<dyn Fn() -> Vec<WalRecord> + Send + Sync>;
 
+/// Destination of the internal subscription that feeds the event log.
+const EVENT_LOG_TAP: &str = "internal://event-log";
+
 /// Maximum entries retained in the event log (oldest are evicted —
 /// `OverWritePolicy: WrapsWhenFull`).
 pub const EVENT_LOG_CAP: usize = 512;
@@ -179,11 +182,13 @@ impl Ofmf {
         clock: Arc<Clock>,
         wal: Option<Arc<Wal>>,
     ) -> std::io::Result<Arc<Self>> {
-        let registry = Arc::new(Registry::new());
-        let events = Arc::new(EventService::new(Arc::clone(&clock)));
+        // Every journaling service gets the handle as it is built: replay
+        // applies records without journaling them.
+        let registry = Arc::new(Registry::new().with_journal(wal.clone()));
+        let events = Arc::new(EventService::new(Arc::clone(&clock)).with_journal(wal.clone()));
         let telemetry = Arc::new(TelemetryService::new(Arc::clone(&clock)));
         let tasks = Arc::new(TaskService::new(Arc::clone(&clock)));
-        let sessions = Arc::new(SessionService::new(Arc::clone(&clock), credentials, seed));
+        let sessions = Arc::new(SessionService::new(Arc::clone(&clock), credentials, seed).with_journal(wal.clone()));
 
         // Replay whatever the journal holds. An empty journal (or no journal
         // at all) falls through to the fresh-bootstrap path.
@@ -199,45 +204,15 @@ impl Ofmf {
         let mut recovered_teardowns: HashMap<String, Vec<AgentOp>> = HashMap::new();
 
         let journal = if let Some(records) = &replayed {
-            // ---- restored boot: rebuild every service from the journal ----
+            // ---- restored boot: each service folds its own records; the
+            // clock, the teardown journal and the composer's are folded here
             redfish_model::replay::apply_all(&registry, records);
             let mut max_ms = 0u64;
-            // token → (session id, user, last-used); final state wins.
-            let mut live_sessions: HashMap<String, (String, String, u64)> = HashMap::new();
-            // subscription id → (destination, type names, origin paths).
-            let mut live_subs: HashMap<String, (String, Vec<String>, Vec<String>)> = HashMap::new();
             for rec in records {
                 match rec {
-                    WalRecord::ClockMark { now_ms } => max_ms = max_ms.max(*now_ms),
-                    WalRecord::SessionLogin {
-                        token,
-                        session_id,
-                        user,
-                        last_used_ms,
-                    } => {
-                        max_ms = max_ms.max(*last_used_ms);
-                        live_sessions.insert(token.clone(), (session_id.clone(), user.clone(), *last_used_ms));
-                    }
-                    WalRecord::SessionTouch { token, last_used_ms } => {
-                        max_ms = max_ms.max(*last_used_ms);
-                        if let Some(live) = live_sessions.get_mut(token) {
-                            live.2 = *last_used_ms;
-                        }
-                    }
-                    WalRecord::SessionEnd { token } => {
-                        live_sessions.remove(token);
-                    }
-                    WalRecord::Subscribe {
-                        id,
-                        destination,
-                        event_types,
-                        origins,
-                    } => {
-                        live_subs.insert(id.clone(), (destination.clone(), event_types.clone(), origins.clone()));
-                    }
-                    WalRecord::Unsubscribe { id } => {
-                        live_subs.remove(id);
-                    }
+                    WalRecord::ClockMark { now_ms: ms }
+                    | WalRecord::SessionLogin { last_used_ms: ms, .. }
+                    | WalRecord::SessionTouch { last_used_ms: ms, .. } => max_ms = max_ms.max(*ms),
                     WalRecord::Teardown { fabric, op } => {
                         if let Some(op) = op_from_value(op) {
                             recovered_teardowns.entry(fabric.clone()).or_default().push(op);
@@ -253,63 +228,29 @@ impl Ofmf {
                     | WalRecord::Decompose { .. }
                     | WalRecord::BindAdded { .. }
                     | WalRecord::ComposeLive { .. } => recovered_compose.push(rec.clone()),
-                    // Registry records were applied by `apply_all` above.
                     _ => {}
                 }
             }
             // Resume the pre-crash timeline before any service reads the
             // clock, so restored session deadlines stay meaningful.
             clock.resume_from(max_ms);
-            let mut tokens: Vec<&String> = live_sessions.keys().collect();
-            tokens.sort();
-            for token in tokens {
-                // ofmf-lint: allow(no-panic-path, "key came from live_sessions.keys() above")
-                let (sid, user, ms) = &live_sessions[token];
-                sessions.restore_session(token, sid, user, *ms);
-            }
-            let mut journal_rx = None;
-            let mut sub_ids: Vec<&String> = live_subs.keys().collect();
-            sub_ids.sort_by_key(|s| s.parse::<u64>().unwrap_or(u64::MAX));
-            for id in sub_ids {
-                // ofmf-lint: allow(no-panic-path, "key came from live_subs.keys() above")
-                let (dest, types, origins) = &live_subs[id];
-                let rx = events.restore_subscription(
-                    id,
-                    dest,
-                    types.iter().filter_map(|s| event_type_from_label(s)).collect(),
-                    origins.iter().map(ODataId::new).collect(),
-                );
-                if dest == "internal://event-log" && journal_rx.is_none() {
-                    journal_rx = Some(rx);
-                }
-            }
+            sessions.replay(records);
             // The internal event-log subscription is created on every fresh
-            // boot, so it is always in the journal; the fallback covers only
-            // hand-built journals (tests, tooling).
-            journal_rx.unwrap_or_else(|| events.restore_subscription("0", "internal://event-log", vec![], vec![]))
+            // boot, so it is in the journal unless that was cut short.
+            events.replay(records, EVENT_LOG_TAP)
         } else {
-            // ---- fresh boot: journal from the very first create, so the
+            // ---- fresh boot: journaled from the very first create, so the
             // bootstrap itself is replayable ----
-            registry.set_journal(wal.clone());
-            sessions.set_journal(wal.clone());
-            events.set_journal(wal.clone());
             // ofmf-lint: allow(no-panic-path, "bootstrap of an empty registry only inserts fresh ids; Conflict is impossible")
             tree::bootstrap(&registry, uuid).expect("bootstrap on fresh registry cannot fail");
             let (_journal_id, journal) = events
-                .subscribe(&registry, "internal://event-log", vec![], vec![])
+                .subscribe(&registry, EVENT_LOG_TAP, vec![], vec![])
                 // ofmf-lint: allow(no-panic-path, "first subscription on a freshly bootstrapped tree cannot collide")
                 .expect("journal subscription on a fresh tree");
             journal
         };
 
         let recovered = replayed.is_some();
-        if recovered {
-            // Journaling was off during replay (records must not re-journal
-            // themselves); attach now that the tree is rebuilt.
-            registry.set_journal(wal.clone());
-            sessions.set_journal(wal.clone());
-            events.set_journal(wal.clone());
-        }
         let member_floor = if recovered { member_seq_floor(&registry) } else { 1 };
         let journal_floor = if recovered { journal_seq_floor(&registry) } else { 1 };
 
@@ -354,6 +295,13 @@ impl Ofmf {
         }
     }
 
+    /// Hold a teardown op for replay once its agent is back: in the agent's
+    /// supervisor for this process, in the WAL for the next one.
+    fn hold_teardown(&self, fabric_id: &str, sup: &AgentSupervisor, op: &AgentOp) {
+        sup.journal_teardown(op);
+        self.wal_record(teardown_record(fabric_id, op));
+    }
+
     /// Composition records replayed from the WAL, in journal order. The
     /// Composability Layer drains these once on boot to rebuild its state
     /// and compensate half-bound compositions.
@@ -388,20 +336,11 @@ impl Ofmf {
         // Undrained teardown compensation survives compaction: ops held by
         // live supervisors, plus ops recovered for still-absent agents.
         for (fid, entry) in self.agents.read().iter() {
-            for op in entry.supervisor.peek_journal() {
-                recs.push(WalRecord::Teardown {
-                    fabric: fid.clone(),
-                    op: op_to_value(&op),
-                });
-            }
+            let held = entry.supervisor.peek_journal();
+            recs.extend(held.iter().map(|op| teardown_record(fid, op)));
         }
         for (fid, ops) in self.recovered_teardowns.lock().iter() {
-            for op in ops {
-                recs.push(WalRecord::Teardown {
-                    fabric: fid.clone(),
-                    op: op_to_value(op),
-                });
-            }
+            recs.extend(ops.iter().map(|op| teardown_record(fid, op)));
         }
         if let Some(provider) = self.snapshot_provider.read().as_ref() {
             recs.extend(provider());
@@ -611,11 +550,7 @@ impl Ofmf {
         };
         if !alive {
             if supervisor::is_teardown(op) {
-                sup.journal_teardown(op);
-                self.wal_record(WalRecord::Teardown {
-                    fabric: fabric_id.to_string(),
-                    op: op_to_value(op),
-                });
+                self.hold_teardown(fabric_id, &sup, op);
             }
             return Err(sup.circuit_open_error());
         }
@@ -631,11 +566,7 @@ impl Ofmf {
                 if supervisor::is_teardown(op)
                     && matches!(e, RedfishError::AgentUnavailable(_) | RedfishError::CircuitOpen { .. })
                 {
-                    sup.journal_teardown(op);
-                    self.wal_record(WalRecord::Teardown {
-                        fabric: fabric_id.to_string(),
-                        op: op_to_value(op),
-                    });
+                    self.hold_teardown(fabric_id, &sup, op);
                 }
                 Err(e)
             }
@@ -973,11 +904,7 @@ impl Ofmf {
                     self.registry.delete_subtree(&id);
                 }
                 Err(_) => {
-                    sup.journal_teardown(&op);
-                    self.wal_record(WalRecord::Teardown {
-                        fabric: fabric_id.to_string(),
-                        op: op_to_value(&op),
-                    });
+                    self.hold_teardown(fabric_id, sup, &op);
                 }
             }
         }
@@ -1174,6 +1101,13 @@ impl Ofmf {
         self.events
             .publish(EventType::ResourceRemoved, path, "resource deleted", "OK");
         Ok(())
+    }
+}
+
+fn teardown_record(fabric_id: &str, op: &AgentOp) -> WalRecord {
+    WalRecord::Teardown {
+        fabric: fabric_id.to_string(),
+        op: op_to_value(op),
     }
 }
 

@@ -37,10 +37,11 @@ pub struct SessionService {
     next: AtomicU64,
     seed: u64,
     timeout_ms: u64,
-    /// Durability journal. Session lifecycle records are appended while the
-    /// token-table lock is held, so per-token ordering (login → touches →
-    /// end) is exact on replay. Lock order: tokens → WAL file mutex (leaf).
-    journal: RwLock<Option<Arc<Wal>>>,
+    /// Durability journal, fixed at construction. Session lifecycle records
+    /// are appended while the token-table lock is held, so per-token
+    /// ordering (login → touches → end) is exact on replay. Lock order:
+    /// tokens → WAL file mutex (leaf).
+    journal: Option<Arc<Wal>>,
 }
 
 impl SessionService {
@@ -53,7 +54,7 @@ impl SessionService {
             next: AtomicU64::new(1),
             seed,
             timeout_ms: DEFAULT_TIMEOUT_MS,
-            journal: RwLock::new(None),
+            journal: None,
         }
     }
 
@@ -68,14 +69,15 @@ impl SessionService {
         self.timeout_ms
     }
 
-    /// Attach (or detach) the durability journal. Attached before any login
-    /// on a fresh boot; after replay on a restored boot.
-    pub fn set_journal(&self, wal: Option<Arc<Wal>>) {
-        *self.journal.write() = wal;
+    /// Journal every session lifecycle change to `wal`
+    /// ([`SessionService::replay`] never journals).
+    pub fn with_journal(mut self, wal: Option<Arc<Wal>>) -> Self {
+        self.journal = wal;
+        self
     }
 
     fn journal_record(&self, rec: WalRecord) {
-        if let Some(w) = self.journal.read().as_ref() {
+        if let Some(w) = &self.journal {
             w.record(&rec);
         }
     }
@@ -132,13 +134,9 @@ impl SessionService {
             return Err(RedfishError::Unauthorized);
         };
         if now.saturating_sub(live.last_used_ms) > self.timeout_ms {
-            let sid = live.session_id.clone();
-            tokens.remove(token);
-            self.journal_record(WalRecord::SessionEnd {
-                token: token.to_string(),
-            });
+            let sid = self.end(&mut tokens, token);
             drop(tokens);
-            let _ = reg.delete(&ODataId::new(top::SESSIONS).child(&sid));
+            let _ = sid.map(|sid| reg.delete(&sid));
             return Err(RedfishError::Unauthorized);
         }
         live.last_used_ms = now;
@@ -150,18 +148,21 @@ impl SessionService {
         Ok(user)
     }
 
-    /// Log out (DELETE on the session resource).
-    pub fn logout(&self, reg: &Registry, token: &str) -> RedfishResult<()> {
-        let mut tokens = self.tokens.write();
-        let Some(live) = tokens.remove(token) else {
-            return Err(RedfishError::Unauthorized);
-        };
+    /// Drop `token` from the table and journal its end (logout or expiry).
+    /// Returns the session's resource, for the caller to delete once the
+    /// table lock is released.
+    fn end(&self, tokens: &mut HashMap<String, Live>, token: &str) -> Option<ODataId> {
+        let live = tokens.remove(token)?;
         self.journal_record(WalRecord::SessionEnd {
             token: token.to_string(),
         });
-        drop(tokens);
-        reg.delete(&ODataId::new(top::SESSIONS).child(&live.session_id))?;
-        Ok(())
+        Some(ODataId::new(top::SESSIONS).child(&live.session_id))
+    }
+
+    /// Log out (DELETE on the session resource).
+    pub fn logout(&self, reg: &Registry, token: &str) -> RedfishResult<()> {
+        let sid = self.end(&mut self.tokens.write(), token);
+        reg.delete(&sid.ok_or(RedfishError::Unauthorized)?)
     }
 
     /// Reap every session idle past the timeout, deleting its resource from
@@ -170,45 +171,57 @@ impl SessionService {
     /// re-presented. Returns the number of sessions reaped.
     pub fn sweep_expired(&self, reg: &Registry) -> usize {
         let now = self.clock.now_ms();
-        let doomed: Vec<(String, String)> = {
-            let mut tokens = self.tokens.write();
-            let expired: Vec<String> = tokens
-                .iter()
-                .filter(|(_, live)| now.saturating_sub(live.last_used_ms) > self.timeout_ms)
-                .map(|(t, _)| t.clone())
-                .collect();
-            let doomed: Vec<(String, String)> = expired
-                .into_iter()
-                .filter_map(|t| tokens.remove(&t).map(|live| (t, live.session_id)))
-                .collect();
-            for (t, _) in &doomed {
-                self.journal_record(WalRecord::SessionEnd { token: t.clone() });
-            }
-            doomed
-        };
-        for (_, sid) in &doomed {
-            let _ = reg.delete(&ODataId::new(top::SESSIONS).child(sid));
+        let mut tokens = self.tokens.write();
+        let expired: Vec<String> = tokens
+            .iter()
+            .filter(|(_, live)| now.saturating_sub(live.last_used_ms) > self.timeout_ms)
+            .map(|(t, _)| t.clone())
+            .collect();
+        let doomed: Vec<ODataId> = expired.iter().filter_map(|t| self.end(&mut tokens, t)).collect();
+        drop(tokens);
+        for sid in &doomed {
+            let _ = reg.delete(sid);
         }
         doomed.len()
     }
 
-    /// Re-install a session during WAL replay, preserving its original
-    /// identity and idle timer. The restored session expires exactly
-    /// `timeout_ms` after its pre-crash `last_used_ms` — neither immortal
-    /// nor instantly reaped. Does not touch the registry (the session
-    /// resource is rebuilt by registry-record replay).
-    pub fn restore_session(&self, token: &str, session_id: &str, user: &str, last_used_ms: u64) {
-        self.tokens.write().insert(
-            token.to_string(),
-            Live {
-                session_id: session_id.to_string(),
-                user: user.to_string(),
-                last_used_ms,
-            },
-        );
+    /// Fold the session records of a replayed journal (login → insert,
+    /// touch → idle-timer update, end → remove) into the token table. A
+    /// restored session keeps its identity and its pre-crash `last_used_ms`,
+    /// so it expires exactly `timeout_ms` after that — neither immortal nor
+    /// instantly reaped. Touches no registry resource (those come back
+    /// through registry-record replay) and journals nothing.
+    pub fn replay(&self, records: &[WalRecord]) {
+        let mut tokens = self.tokens.write();
+        for rec in records {
+            match rec {
+                WalRecord::SessionLogin {
+                    token,
+                    session_id,
+                    user,
+                    last_used_ms,
+                } => {
+                    let live = Live {
+                        session_id: session_id.clone(),
+                        user: user.clone(),
+                        last_used_ms: *last_used_ms,
+                    };
+                    tokens.insert(token.clone(), live);
+                }
+                WalRecord::SessionTouch { token, last_used_ms } => {
+                    if let Some(live) = tokens.get_mut(token) {
+                        live.last_used_ms = *last_used_ms;
+                    }
+                }
+                WalRecord::SessionEnd { token } => {
+                    tokens.remove(token);
+                }
+                _ => {}
+            }
+        }
         // Keep the id/token allocator above every restored session so new
         // logins never collide with replayed ones.
-        if let Ok(n) = session_id.parse::<u64>() {
+        for n in tokens.values().filter_map(|live| live.session_id.parse::<u64>().ok()) {
             self.next.fetch_max(n.saturating_add(1), Ordering::AcqRel);
         }
     }
@@ -217,23 +230,15 @@ impl SessionService {
     /// snapshot stores instead of the login/touch/end history.
     pub fn snapshot_records(&self) -> Vec<WalRecord> {
         let tokens = self.tokens.read();
-        let mut recs: Vec<WalRecord> = tokens
-            .iter()
-            .map(|(t, live)| WalRecord::SessionLogin {
-                token: t.clone(),
-                session_id: live.session_id.clone(),
-                user: live.user.clone(),
-                last_used_ms: live.last_used_ms,
-            })
-            .collect();
-        recs.sort_by(|a, b| {
-            let key = |r: &WalRecord| match r {
-                WalRecord::SessionLogin { session_id, .. } => session_id.clone(),
-                _ => String::new(),
-            };
-            key(a).cmp(&key(b))
-        });
-        recs
+        let mut live: Vec<(&String, &Live)> = tokens.iter().collect();
+        live.sort_by(|a, b| a.1.session_id.cmp(&b.1.session_id));
+        let login = |(token, live): (&String, &Live)| WalRecord::SessionLogin {
+            token: token.clone(),
+            session_id: live.session_id.clone(),
+            user: live.user.clone(),
+            last_used_ms: live.last_used_ms,
+        };
+        live.into_iter().map(login).collect()
     }
 
     /// Live session count (expired-but-unreaped sessions included).
@@ -331,21 +336,24 @@ mod tests {
         assert_eq!(svc.session_count(), 1);
     }
 
+    fn login_record(token: &str, session_id: &str, last_used_ms: u64) -> WalRecord {
+        WalRecord::SessionLogin {
+            token: token.to_string(),
+            session_id: session_id.to_string(),
+            user: "admin".to_string(),
+            last_used_ms,
+        }
+    }
+
     #[test]
     fn restored_sessions_expire_at_their_original_deadline() {
-        // Satellite 2 regression: a session restored from the WAL must
-        // re-enter the expiry sweep with its ORIGINAL deadline — not be
-        // immortal (timer reset) and not be instantly reaped (timer zeroed).
-        let (reg, svc, clock) = setup(1000);
-        let (token, sid) = svc.login(&reg, "admin", "hunter2").unwrap();
-        clock.advance_ms(400);
-        svc.authenticate(&reg, &token).unwrap(); // last_used_ms = 400
-
-        // "Restart": fresh service on a fresh clock resumed to the
-        // pre-crash timeline, session re-installed from its journal record.
+        // A session restored from the WAL must re-enter the expiry sweep with
+        // its ORIGINAL deadline — not be immortal (timer reset) and not be
+        // instantly reaped (timer zeroed).
         let (reg2, svc2, clock2) = setup(1000);
-        clock2.resume_from(clock.now_ms());
-        svc2.restore_session(&token, "1", "admin", 400);
+        clock2.resume_from(400);
+        svc2.replay(&[login_record("ofmf-restored", "1", 400)]);
+        let sid = ODataId::new(top::SESSIONS).child("1");
         reg2.create(
             &sid,
             Session::new(&ODataId::new(top::SESSIONS), "1", "admin", 400).to_value(),
@@ -354,34 +362,28 @@ mod tests {
 
         clock2.advance_ms(900); // idle 900ms < 1000ms: still valid
         assert_eq!(
-            svc2.authenticate(&reg2, &token).unwrap(),
+            svc2.authenticate(&reg2, "ofmf-restored").unwrap(),
             "admin",
             "not instantly reaped"
         );
         clock2.advance_ms(1001); // idle past the (refreshed) deadline
         assert!(
-            matches!(svc2.authenticate(&reg2, &token), Err(RedfishError::Unauthorized)),
+            matches!(
+                svc2.authenticate(&reg2, "ofmf-restored"),
+                Err(RedfishError::Unauthorized)
+            ),
             "not immortal"
         );
         assert!(!reg2.exists(&sid));
     }
 
     #[test]
-    fn restored_sessions_do_not_collide_with_new_logins() {
-        let (reg, svc, _clock) = setup(DEFAULT_TIMEOUT_MS);
-        svc.restore_session("ofmf-restored", "7", "admin", 0);
-        let (_token, sid) = svc.login(&reg, "admin", "hunter2").unwrap();
-        assert_eq!(sid.as_str(), "/redfish/v1/SessionService/Sessions/8");
-        assert_eq!(svc.session_count(), 2);
-    }
-
-    #[test]
-    fn session_lifecycle_is_journaled_and_replayable() {
+    fn journaled_lifecycle_replays_to_the_live_sessions() {
         let dir = std::env::temp_dir().join(format!("ofmf-sess-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Arc::new(Wal::open(&dir, ofmf_wal::FsyncPolicy::Off).unwrap());
         let (reg, svc, clock) = setup(1000);
-        svc.set_journal(Some(Arc::clone(&wal)));
+        let svc = svc.with_journal(Some(Arc::clone(&wal)));
 
         let (t1, _) = svc.login(&reg, "admin", "hunter2").unwrap();
         let (t2, _) = svc.login(&reg, "admin", "hunter2").unwrap();
@@ -389,53 +391,32 @@ mod tests {
         svc.authenticate(&reg, &t1).unwrap();
         svc.logout(&reg, &t2).unwrap();
 
-        let recs = wal.replay().unwrap().records;
-        // Fold the journal the way boot does: login → map insert,
-        // touch → timer update, end → remove.
-        let mut live: HashMap<String, u64> = HashMap::new();
-        for r in &recs {
-            match r {
-                WalRecord::SessionLogin {
-                    token, last_used_ms, ..
-                } => {
-                    live.insert(token.clone(), *last_used_ms);
-                }
-                WalRecord::SessionTouch { token, last_used_ms } => {
-                    live.insert(token.clone(), *last_used_ms);
-                }
-                WalRecord::SessionEnd { token } => {
-                    live.remove(token);
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(live.len(), 1);
-        assert_eq!(live.get(&t1), Some(&500), "touch refreshed the journaled timer");
+        // "Restart": a fresh service folds the journal.
+        let (reg2, svc2, clock2) = setup(1000);
+        svc2.replay(&wal.replay().unwrap().records);
+        assert_eq!(svc2.snapshot_records(), svc.snapshot_records());
+        assert_eq!(svc2.snapshot_records(), vec![login_record(&t1, "1", 500)]);
+        // The ended session stays ended; the touch refreshed the live one.
+        clock2.resume_from(1400);
+        assert!(svc2.authenticate(&reg2, &t2).is_err());
+        assert_eq!(svc2.authenticate(&reg2, &t1).unwrap(), "admin");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn snapshot_records_capture_live_sessions() {
+    fn snapshot_records_list_live_sessions_and_round_trip_through_replay() {
         let (reg, svc, clock) = setup(1000);
         let (t1, _) = svc.login(&reg, "admin", "hunter2").unwrap();
         clock.advance_ms(100);
-        let (_t2, _) = svc.login(&reg, "admin", "hunter2").unwrap();
+        let (t2, _) = svc.login(&reg, "admin", "hunter2").unwrap();
         let recs = svc.snapshot_records();
-        assert_eq!(recs.len(), 2);
-        match &recs[0] {
-            WalRecord::SessionLogin {
-                token,
-                session_id,
-                user,
-                last_used_ms,
-            } => {
-                assert_eq!(token, &t1);
-                assert_eq!(session_id, "1");
-                assert_eq!(user, "admin");
-                assert_eq!(*last_used_ms, 0);
-            }
-            other => panic!("unexpected record {other:?}"),
-        }
+        assert_eq!(recs, vec![login_record(&t1, "1", 0), login_record(&t2, "2", 100)]);
+        let (reg2, svc2, _clock2) = setup(1000);
+        svc2.replay(&recs);
+        assert_eq!(svc2.snapshot_records(), recs);
+        // New logins are numbered above the restored sessions.
+        let (_token, sid) = svc2.login(&reg2, "admin", "hunter2").unwrap();
+        assert_eq!(sid.as_str(), "/redfish/v1/SessionService/Sessions/3");
     }
 
     #[test]

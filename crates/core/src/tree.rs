@@ -188,32 +188,13 @@ pub fn mount_subtree(reg: &Registry, inventory: &[(ODataId, Value)]) -> RedfishR
     for (id, body) in sorted {
         let is_collection = body.get("Members").is_some();
         if reg.exists(id) {
-            let mut body = body.clone();
-            if is_collection {
-                // Re-registration over a recovered tree: the fresh discovery
-                // does not know about dynamically created members (zones,
-                // connections, carves) replayed from the journal. Union the
-                // member lists so replayed children stay reachable.
-                let mut members: Vec<Value> = body["Members"].as_array().cloned().unwrap_or_default();
-                let _ = reg.read(id, |existing| {
-                    for m in existing.body["Members"].as_array().into_iter().flatten() {
-                        let known = m["@odata.id"]
-                            .as_str()
-                            .is_some_and(|p| members.iter().any(|n| n["@odata.id"].as_str() == Some(p)));
-                        if !known {
-                            members.push(m.clone());
-                        }
-                    }
-                });
-                if let Some(obj) = body.as_object_mut() {
-                    obj.insert("Members@odata.count".into(), serde_json::json!(members.len() as u64));
-                    obj.insert("Members".into(), Value::Array(members));
-                }
-            }
-            reg.replace(id, body)?;
+            // Re-registration. A collection keeps the members the registry
+            // holds for it (zones, connections and carves replayed from the
+            // journal are unknown to a fresh discovery).
+            reg.replace(id, body.clone())?;
         } else if is_collection {
-            // Collections arrive with their Members pre-listed; create the
-            // shell then replace to preserve the agent's member list.
+            // Create the shell, then replace to carry the agent's other
+            // members of the document.
             let ty = body.get("@odata.type").and_then(Value::as_str).unwrap_or("#Collection");
             let name = body.get("Name").and_then(Value::as_str).unwrap_or(id.leaf());
             reg.create_collection(id, ty, name)?;

@@ -30,25 +30,24 @@ pub fn merge_patch(target: &mut Value, patch: &Value) {
     }
 }
 
-/// Compute the set of top-level member names a patch would modify.
+/// Members that the Redfish specification forbids clients from patching.
+pub const READ_ONLY_MEMBERS: [&str; 7] = [
+    "@odata.id",
+    "@odata.type",
+    "@odata.etag",
+    "Id",
+    "Members",
+    "Members@odata.count",
+    "Members@odata.nextLink",
+];
+
+/// Return the first read-only member a patch attempts to touch, if any.
 ///
 /// The registry uses this to reject PATCHes that touch read-only members
 /// (`@odata.id`, `Id`, …) before applying anything.
-pub fn touched_members(patch: &Value) -> Vec<&str> {
-    match patch {
-        Value::Object(m) => m.keys().map(String::as_str).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Members that the Redfish specification forbids clients from patching.
-pub const READ_ONLY_MEMBERS: [&str; 5] = ["@odata.id", "@odata.type", "@odata.etag", "Id", "Members"];
-
-/// Return the first read-only member a patch attempts to touch, if any.
 pub fn first_read_only_violation(patch: &Value) -> Option<&str> {
-    touched_members(patch)
-        .into_iter()
-        .find(|m| READ_ONLY_MEMBERS.contains(m))
+    let mut touched = patch.as_object()?.keys().map(String::as_str);
+    touched.find(|m| READ_ONLY_MEMBERS.contains(m))
 }
 
 #[cfg(test)]
@@ -99,6 +98,10 @@ mod tests {
             first_read_only_violation(&json!({"@odata.etag": "y", "Name": "x"})),
             Some("@odata.etag")
         );
+        // A collection's size and paging link are the registry's to state.
+        for annotation in ["Members@odata.count", "Members@odata.nextLink"] {
+            assert_eq!(first_read_only_violation(&json!({annotation: 7})), Some(annotation));
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::patch::{first_read_only_violation, merge_patch};
 use crate::path::{fnv1a, top_segment, valid_member_id};
 use ofmf_wal::{Wal, WalRecord};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use serde_json::{json, Map, Value};
+use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,6 +119,18 @@ impl Tree {
     fn has_descendants(&self, id: &ODataId) -> bool {
         self.descendants(id).next().is_some()
     }
+
+    fn put(&mut self, id: &ODataId, body: Value, etag: u64, is_collection: bool) {
+        let etag = ETag(etag);
+        self.nodes.insert(
+            id.clone(),
+            StoredResource {
+                body,
+                etag,
+                is_collection,
+            },
+        );
+    }
 }
 
 /// Cached wire entry: (etag value, serialized wire body).
@@ -158,11 +170,11 @@ pub struct Registry {
     etag_seq: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Optional write-ahead journal. Mutations append their logical record
-    /// while still holding the stripe write lock, so the journal preserves
-    /// per-stripe mutation order. Lock order: stripe → journal → WAL file
-    /// mutex (the WAL mutex is a leaf).
-    journal: RwLock<Option<Arc<Wal>>>,
+    /// Optional write-ahead journal, fixed at construction. A mutation
+    /// appends its record while holding the stripe write lock(s), so the
+    /// journal preserves per-stripe mutation order. Lock order: stripe →
+    /// WAL file mutex (a leaf).
+    journal: Option<Arc<Wal>>,
 }
 
 impl Default for Registry {
@@ -179,24 +191,17 @@ impl Registry {
             etag_seq: AtomicU64::new(1),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            journal: RwLock::new(None),
+            journal: None,
         }
     }
 
-    /// Attach (or detach) the write-ahead journal. Attach *after* replay:
-    /// replayed mutations go through the raw install paths and are never
-    /// re-journaled.
-    pub fn set_journal(&self, wal: Option<Arc<Wal>>) {
-        *self.journal.write() = wal;
-    }
-
-    /// Append a record to the attached journal, if any. Called with the
-    /// relevant stripe write lock held so the journal observes mutations
-    /// to one stripe in their true order.
-    fn journal_record(&self, rec: &WalRecord) {
-        if let Some(w) = self.journal.read().as_ref() {
-            w.record(rec);
-        }
+    /// Journal every live mutation to `wal`. Replay ([`Registry::apply_record`])
+    /// never journals, so the handle can be given before the journal is
+    /// replayed into this registry.
+    #[must_use]
+    pub fn with_journal(mut self, wal: Option<Arc<Wal>>) -> Self {
+        self.journal = wal;
+        self
     }
 
     /// `(hits, misses)` of the wire-body cache since boot.
@@ -253,13 +258,6 @@ impl Registry {
         self.shards.iter().map(|s| s.tree.read()).collect() // ofmf-lint: allow(lock-discipline, "shards are visited in ascending index order on every multi-shard path")
     }
 
-    /// Drop the cached wire body of `id` (after delete; mutations in place
-    /// are already invalidated by the ETag bump, but dropping keeps the
-    /// cache tight).
-    fn uncache(&self, id: &ODataId) {
-        self.shard(id).wire.write().remove(id);
-    }
-
     /// Number of resources currently stored.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.tree.read().nodes.len()).sum() // ofmf-lint: allow(lock-discipline, "shards are visited in ascending index order on every multi-shard path")
@@ -276,16 +274,13 @@ impl Registry {
     /// `AlreadyExists` if the path is taken. If the parent is a collection,
     /// the new resource is appended to its `Members`.
     pub fn create(&self, id: &ODataId, mut body: Value) -> RedfishResult<ETag> {
-        if !body.is_object() {
+        let Some(obj) = body.as_object_mut() else {
             return Err(RedfishError::BadRequest("resource body must be a JSON object".into()));
-        }
+        };
         if !valid_member_id(id.leaf()) {
             return Err(RedfishError::BadRequest(format!("invalid member id '{}'", id.leaf())));
         }
-        body.as_object_mut()
-            // ofmf-lint: allow(no-panic-path, "is_object was checked at the top of the function")
-            .expect("checked object")
-            .insert("@odata.id".to_string(), Value::String(id.as_str().to_string()));
+        obj.insert("@odata.id".to_string(), Value::String(id.as_str().to_string()));
         self.insert_new(id, body, false)
     }
 
@@ -305,46 +300,82 @@ impl Registry {
     }
 
     fn insert_new(&self, id: &ODataId, body: Value, is_collection: bool) -> RedfishResult<ETag> {
-        let me = stripe_of(id);
         let mut span = self.write_around(id);
-        if span.tree(me).nodes.contains_key(id) {
+        if span.tree(stripe_of(id)).nodes.contains_key(id) {
             return Err(RedfishError::AlreadyExists(id.clone()));
         }
         let etag = self.next_etag();
-        span.tree(me).nodes.insert(
-            id.clone(),
-            StoredResource {
+        let parent_etag = self.parent_etag(&mut span, id);
+        self.commit(
+            span,
+            id,
+            WalRecord::Create {
+                id: id.as_str().to_string(),
                 body,
-                etag,
+                etag: etag.0,
                 is_collection,
+                parent_etag,
             },
         );
-        let parent_etag = self.relink_parent(&mut span, id, true);
-        if self.journal.read().is_some() {
-            if let Some(node) = span.tree(me).nodes.get(id) {
-                self.journal_record(&WalRecord::Create {
-                    id: id.as_str().to_string(),
-                    body: node.body.clone(),
-                    etag: etag.0,
-                    is_collection,
-                    parent_etag: parent_etag.map(|e| e.0),
-                });
-            }
-        }
         Ok(etag)
     }
 
-    /// Link `id` into (`link`) or out of its parent's `Members`, when the
-    /// parent is a collection. Returns the parent's freshly allocated ETag,
-    /// if one was bumped.
-    fn relink_parent(&self, span: &mut WriteSpan<'_>, id: &ODataId, link: bool) -> Option<ETag> {
+    /// A fresh ETag for `id`'s parent when linking or unlinking `id` will
+    /// touch it (the parent is a collection holding a `Members` array).
+    fn parent_etag(&self, span: &mut WriteSpan<'_>, id: &ODataId) -> Option<u64> {
         let parent = id.parent()?;
-        let p = span.tree(stripe_of(&parent)).nodes.get_mut(&parent)?;
-        if !(p.is_collection && p.set_member(id, link)) {
-            return None;
+        let p = span.tree(stripe_of(&parent)).nodes.get(&parent)?;
+        (p.is_collection && p.body.get("Members").is_some_and(Value::is_array)).then(|| self.next_etag().0)
+    }
+
+    /// The tail of every live mutation, once validated and with its ETags
+    /// allocated: journal the record, then apply it. The span is still
+    /// write-locked, so the journal sees one stripe's mutations in their
+    /// true order. Returns how many resources the record removed.
+    fn commit(&self, span: WriteSpan<'_>, id: &ODataId, rec: WalRecord) -> usize {
+        if let Some(w) = &self.journal {
+            w.record(&rec);
         }
-        p.etag = self.next_etag();
-        Some(p.etag)
+        self.settle(span, id, rec)
+    }
+
+    /// Apply `rec` over the locked span and release it, then drop the cached
+    /// wire bodies of what it removed (mutations in place are already
+    /// invalidated by the ETag bump, but dropping keeps the cache tight).
+    fn settle(&self, mut span: WriteSpan<'_>, id: &ODataId, rec: WalRecord) -> usize {
+        let removed = span.transition(id, rec);
+        drop(span);
+        for gone in &removed {
+            self.shard(gone).wire.write().remove(gone);
+        }
+        removed.len()
+    }
+
+    /// Apply one journaled registry record (WAL/snapshot recovery): no
+    /// validation, no journaling and no ETag allocation — the record carries
+    /// the ETags the live mutation allocated, and the allocator is raised
+    /// past them so none is ever reused. The state transition is the one the
+    /// live mutation ran, so a replayed tree equals the live one, ETags
+    /// included. Returns `false`, doing nothing, for records of other
+    /// subsystems.
+    pub fn apply_record(&self, rec: &WalRecord) -> bool {
+        use WalRecord::{Create, Delete, DeleteSubtree, EtagFloor, InstallResource, Patch, Replace};
+        let (id, pinned) = match rec {
+            Create {
+                id, etag, parent_etag, ..
+            } => (id, (*etag).max(parent_etag.unwrap_or(0))),
+            Patch { id, etag, .. } | Replace { id, etag, .. } | InstallResource { id, etag, .. } => (id, *etag),
+            Delete { id, parent_etag, .. } | DeleteSubtree { id, parent_etag, .. } => (id, parent_etag.unwrap_or(0)),
+            EtagFloor { seq } => {
+                self.ensure_etag_floor(*seq);
+                return true;
+            }
+            _ => return false,
+        };
+        self.ensure_etag_floor(pinned.saturating_add(1));
+        let id = ODataId::new(id.as_str());
+        self.settle(self.write_around(&id), &id, rec.clone());
+        true
     }
 
     /// Fetch a resource (clone of its stored form).
@@ -419,8 +450,13 @@ impl Registry {
         if let Some(m) = first_read_only_violation(patch) {
             return Err(RedfishError::BadRequest(format!("member '{m}' is read-only")));
         }
-        let mut t = self.shard(id).tree.write();
-        let node = t.nodes.get_mut(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
+        let me = stripe_of(id);
+        let mut span = self.write_span(vec![me]);
+        let node = span
+            .tree(me)
+            .nodes
+            .get(id)
+            .ok_or_else(|| RedfishError::NotFound(id.clone()))?;
         if let Some(tag) = if_match {
             if tag != node.etag {
                 return Err(RedfishError::PreconditionFailed {
@@ -429,36 +465,44 @@ impl Registry {
                 });
             }
         }
-        merge_patch(&mut node.body, patch);
-        node.etag = self.next_etag();
-        self.journal_record(&WalRecord::Patch {
-            id: id.as_str().to_string(),
-            delta: patch.clone(),
-            etag: node.etag.0,
-        });
-        Ok(node.etag)
+        let etag = self.next_etag();
+        self.commit(
+            span,
+            id,
+            WalRecord::Patch {
+                id: id.as_str().to_string(),
+                delta: patch.clone(),
+                etag: etag.0,
+            },
+        );
+        Ok(etag)
     }
 
     /// Replace the whole body (used by agents re-publishing a resource).
-    /// Read-only identity members are preserved. Allocates a fresh ETag.
+    /// Read-only identity members are preserved, and so is a collection's
+    /// `Members` / `Members@odata.count`: membership is owned by the
+    /// registry, not by the document a client sends. Allocates a fresh ETag.
     pub fn replace(&self, id: &ODataId, mut body: Value) -> RedfishResult<ETag> {
-        if !body.is_object() {
+        let Some(obj) = body.as_object_mut() else {
             return Err(RedfishError::BadRequest("resource body must be a JSON object".into()));
+        };
+        obj.insert("@odata.id".to_string(), Value::String(id.as_str().to_string()));
+        let me = stripe_of(id);
+        let mut span = self.write_span(vec![me]);
+        if !span.tree(me).nodes.contains_key(id) {
+            return Err(RedfishError::NotFound(id.clone()));
         }
-        let mut t = self.shard(id).tree.write();
-        let node = t.nodes.get_mut(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
-        body.as_object_mut()
-            // ofmf-lint: allow(no-panic-path, "is_object was checked at the top of the function")
-            .expect("checked object")
-            .insert("@odata.id".to_string(), Value::String(id.as_str().to_string()));
-        node.body = body;
-        node.etag = self.next_etag();
-        self.journal_record(&WalRecord::Replace {
-            id: id.as_str().to_string(),
-            body: node.body.clone(),
-            etag: node.etag.0,
-        });
-        Ok(node.etag)
+        let etag = self.next_etag();
+        self.commit(
+            span,
+            id,
+            WalRecord::Replace {
+                id: id.as_str().to_string(),
+                body,
+                etag: etag.0,
+            },
+        );
+        Ok(etag)
     }
 
     /// Delete the resource at `id`.
@@ -466,10 +510,9 @@ impl Registry {
     /// Collections may only be deleted when empty; deleting a non-collection
     /// resource that still has children fails with `Conflict`.
     pub fn delete(&self, id: &ODataId) -> RedfishResult<()> {
-        let me = stripe_of(id);
         let mut span = self.write_around(id);
         {
-            let t = span.tree(me);
+            let t = span.tree(stripe_of(id));
             let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
             if node.is_collection {
                 let n = node.body["Members@odata.count"].as_u64().unwrap_or(0);
@@ -481,14 +524,15 @@ impl Registry {
         if span.trees().any(|t| t.has_descendants(id)) {
             return Err(RedfishError::Conflict(format!("resource {id} has child resources")));
         }
-        span.tree(me).nodes.remove(id);
-        let parent_etag = self.relink_parent(&mut span, id, false);
-        self.journal_record(&WalRecord::Delete {
-            id: id.as_str().to_string(),
-            parent_etag: parent_etag.map(|e| e.0),
-        });
-        drop(span);
-        self.uncache(id);
+        let parent_etag = self.parent_etag(&mut span, id);
+        self.commit(
+            span,
+            id,
+            WalRecord::Delete {
+                id: id.as_str().to_string(),
+                parent_etag,
+            },
+        );
         Ok(())
     }
 
@@ -496,31 +540,19 @@ impl Registry {
     /// Returns the number of resources removed. Atomic: the subtree's
     /// shard(s) stay write-locked for the whole removal.
     pub fn delete_subtree(&self, id: &ODataId) -> usize {
-        let me = stripe_of(id);
         let mut span = self.write_around(id);
-        let mut doomed: Vec<ODataId> = span
-            .trees()
-            .flat_map(|t| t.descendants(id).map(|(k, _)| k.clone()))
-            .collect();
-        if span.tree(me).nodes.contains_key(id) {
-            doomed.push(id.clone());
+        if !span.tree(stripe_of(id)).nodes.contains_key(id) && !span.trees().any(|t| t.has_descendants(id)) {
+            return 0;
         }
-        for d in &doomed {
-            let s = stripe_of(d);
-            span.tree(s).nodes.remove(d);
-        }
-        if !doomed.is_empty() {
-            let parent_etag = self.relink_parent(&mut span, id, false);
-            self.journal_record(&WalRecord::DeleteSubtree {
+        let parent_etag = self.parent_etag(&mut span, id);
+        self.commit(
+            span,
+            id,
+            WalRecord::DeleteSubtree {
                 id: id.as_str().to_string(),
-                parent_etag: parent_etag.map(|e| e.0),
-            });
-        }
-        drop(span);
-        for d in &doomed {
-            self.uncache(d);
-        }
-        doomed.len()
+                parent_etag,
+            },
+        )
     }
 
     /// Ids of the direct members of the collection at `id`.
@@ -530,10 +562,10 @@ impl Registry {
         if !node.is_collection {
             return Err(RedfishError::MethodNotAllowed(format!("{id} is not a collection")));
         }
-        Ok(node.body["Members"]
+        let members = node.body["Members"]
             .as_array()
-            // ofmf-lint: allow(no-panic-path, "create_collection always installs a Members array; is_collection was checked")
-            .expect("collection has Members")
+            .ok_or_else(|| RedfishError::Internal(format!("collection {id} holds no Members array")))?;
+        Ok(members
             .iter()
             .filter_map(|m| m["@odata.id"].as_str().map(ODataId::new))
             .collect())
@@ -645,106 +677,6 @@ impl Registry {
         Ok(body)
     }
 
-    // ------------------------------------------------------------------
-    // Replay API — raw installs used by WAL/snapshot recovery. These
-    // bypass validation, never allocate ETags (records carry the ETag the
-    // live mutation allocated) and never journal. They are idempotent so
-    // a record that lands both in a snapshot and in the live segment
-    // replays to the same state. See `crate::replay`.
-    // ------------------------------------------------------------------
-
-    /// Install (or overwrite) a resource verbatim with a recorded ETag.
-    /// No parent linking: snapshot installs carry each parent's `Members`
-    /// in its own body, and create-replay links explicitly.
-    pub fn install(&self, id: &ODataId, body: Value, etag: ETag, is_collection: bool) {
-        self.shard(id).tree.write().nodes.insert(
-            id.clone(),
-            StoredResource {
-                body,
-                etag,
-                is_collection,
-            },
-        );
-    }
-
-    /// Remove a resource (optionally with its whole subtree) without
-    /// emptiness/child checks, unlinking or journaling.
-    pub fn remove_raw(&self, id: &ODataId, subtree: bool) {
-        let mut span = self.write_around(id);
-        let mut doomed: Vec<ODataId> = Vec::new();
-        if subtree {
-            for t in span.trees() {
-                doomed.extend(t.descendants(id).map(|(k, _)| k.clone()));
-            }
-        }
-        doomed.push(id.clone());
-        for d in &doomed {
-            let s = stripe_of(d);
-            span.tree(s).nodes.remove(d);
-        }
-        drop(span);
-        for d in &doomed {
-            self.uncache(d);
-        }
-    }
-
-    /// Re-apply a recorded parent-membership change: append `id` to
-    /// (`link=true`) or remove it from (`link=false`) its parent's
-    /// `Members`, and pin the parent's ETag to the recorded value. A
-    /// `None` ETag means the live mutation bumped no parent (the parent
-    /// was not a collection), so membership is left untouched.
-    ///
-    /// The recorded ETag doubles as the idempotency token: a parent whose
-    /// current ETag is already at or past it holds a body that reflects
-    /// this mutation (it arrived via a snapshot install or an earlier
-    /// pass over the same journal), so the record is skipped outright.
-    /// That replaces the old per-record `Members` scan — which made
-    /// replaying n creates into one collection O(n²) and blew the
-    /// boot-time budget at 100k records — with an O(1) check, and it
-    /// stops overlap records from regressing the parent's ETag.
-    pub fn set_parent_link_raw(&self, id: &ODataId, link: bool, parent_etag: Option<ETag>) {
-        let Some(petag) = parent_etag else { return };
-        let Some(parent) = id.parent() else { return };
-        let mut t = self.shard(&parent).tree.write();
-        let Some(p) = t.nodes.get_mut(&parent) else {
-            return;
-        };
-        if p.etag < petag && p.set_member(id, link) {
-            p.etag = petag;
-        }
-    }
-
-    /// Re-apply a recorded merge patch, pinning the recorded ETag.
-    pub fn patch_raw(&self, id: &ODataId, delta: &Value, etag: ETag) {
-        if let Some(node) = self.shard(id).tree.write().nodes.get_mut(id) {
-            merge_patch(&mut node.body, delta);
-            node.etag = etag;
-        }
-    }
-
-    /// Re-apply a recorded body replacement, pinning the recorded ETag and
-    /// preserving the resource's collection flag.
-    pub fn replace_raw(&self, id: &ODataId, body: Value, etag: ETag) {
-        let mut t = self.shard(id).tree.write();
-        match t.nodes.get_mut(id) {
-            Some(node) => {
-                node.body = body;
-                node.etag = etag;
-            }
-            None => {
-                let is_collection = body.get("Members").is_some();
-                t.nodes.insert(
-                    id.clone(),
-                    StoredResource {
-                        body,
-                        etag,
-                        is_collection,
-                    },
-                );
-            }
-        }
-    }
-
     /// Raise the ETag allocator so the next allocation is at least `floor`.
     pub fn ensure_etag_floor(&self, floor: u64) {
         self.etag_seq.fetch_max(floor, Ordering::AcqRel);
@@ -793,13 +725,108 @@ impl WriteSpan<'_> {
     fn trees(&self) -> impl Iterator<Item = &Tree> {
         self.guards.iter().map(|(_, g)| &**g)
     }
+
+    /// The one state transition of each registry record kind, run by the
+    /// live mutation that built `rec` and by replay alike. The span must
+    /// cover `id`'s shard and, for `Create`/`Delete`/`DeleteSubtree`, its
+    /// parent's (see [`Registry::write_around`]). Returns the ids removed.
+    ///
+    /// Records are idempotent, so one that lands both in a snapshot and in
+    /// the live segment it overlaps converges: `Create`/`InstallResource`
+    /// set a resource absolutely, and every record that transforms what is
+    /// there (`Patch`, `Replace`, a parent link) is skipped when the target's
+    /// ETag is already at or past the recorded one — it then holds a body
+    /// that reflects the mutation.
+    fn transition(&mut self, id: &ODataId, rec: WalRecord) -> Vec<ODataId> {
+        let me = stripe_of(id);
+        let subtree = matches!(rec, WalRecord::DeleteSubtree { .. });
+        match rec {
+            WalRecord::Create {
+                body,
+                etag,
+                is_collection,
+                parent_etag,
+                ..
+            } => {
+                self.tree(me).put(id, body, etag, is_collection);
+                self.relink_parent(id, true, parent_etag);
+            }
+            // No parent linking: a snapshot carries each parent's `Members`
+            // in its own body.
+            WalRecord::InstallResource {
+                body,
+                etag,
+                is_collection,
+                ..
+            } => self.tree(me).put(id, body, etag, is_collection),
+            WalRecord::Patch { delta, etag, .. } => {
+                if let Some(node) = self.tree(me).nodes.get_mut(id).filter(|n| n.etag.0 < etag) {
+                    merge_patch(&mut node.body, &delta);
+                    node.etag = ETag(etag);
+                }
+            }
+            WalRecord::Replace { mut body, etag, .. } => match self.tree(me).nodes.get_mut(id) {
+                Some(node) if node.etag.0 < etag => {
+                    if node.is_collection {
+                        keep_members(&mut node.body, &mut body);
+                    }
+                    node.body = body;
+                    node.etag = ETag(etag);
+                }
+                Some(_) => {}
+                None => {
+                    let is_collection = body.get("Members").is_some();
+                    self.tree(me).put(id, body, etag, is_collection);
+                }
+            },
+            WalRecord::Delete { parent_etag, .. } | WalRecord::DeleteSubtree { parent_etag, .. } => {
+                let mut doomed: Vec<ODataId> = Vec::new();
+                if subtree {
+                    doomed.extend(self.trees().flat_map(|t| t.descendants(id).map(|(k, _)| k.clone())));
+                }
+                for d in &doomed {
+                    self.tree(stripe_of(d)).nodes.remove(d);
+                }
+                if self.tree(me).nodes.remove(id).is_some() {
+                    doomed.push(id.clone());
+                }
+                self.relink_parent(id, false, parent_etag);
+                return doomed;
+            }
+            _ => {}
+        }
+        Vec::new()
+    }
+
+    /// Link `id` into (`link`) or out of its parent's `Members` and pin the
+    /// parent's ETag to the recorded one. `None` means the live mutation
+    /// bumped no parent (it was not a collection), so membership is left
+    /// untouched.
+    ///
+    /// The ETag gate is O(1): scanning `Members` for `id` instead made
+    /// replaying n creates into one collection O(n²) and blew the boot-time
+    /// budget at 100k records.
+    fn relink_parent(&mut self, id: &ODataId, link: bool, parent_etag: Option<u64>) {
+        let (Some(petag), Some(parent)) = (parent_etag, id.parent()) else {
+            return;
+        };
+        if let Some(p) = self.tree(stripe_of(&parent)).nodes.get_mut(&parent) {
+            if p.etag.0 < petag && p.set_member(id, link) {
+                p.etag = ETag(petag);
+            }
+        }
+    }
 }
 
-/// Convenience: build a `{"@odata.id": …}` map value.
-pub fn link_value(id: &ODataId) -> Value {
-    let mut m = Map::new();
-    m.insert("@odata.id".to_string(), Value::String(id.as_str().to_string()));
-    Value::Object(m)
+/// Carry a collection's registry-owned membership over from its current
+/// body into the body replacing it.
+fn keep_members(current: &mut Value, body: &mut Value) {
+    let Some(obj) = body.as_object_mut() else { return };
+    for key in ["Members", "Members@odata.count"] {
+        if let Some(v) = current.get_mut(key) {
+            obj.insert(key.to_string(), v.take());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -902,6 +929,42 @@ mod tests {
         assert_eq!(r.delete_subtree(&sys), 2);
         assert!(!r.exists(&sys));
         assert!(r.members(&col).unwrap().is_empty());
+    }
+
+    #[test]
+    fn replace_over_a_collection_keeps_its_members() {
+        let (r, col) = reg_with_collection();
+        r.create(&col.child("cn01"), json!({"Name": "a"})).unwrap();
+        // An agent re-registering the collection id without `Members`.
+        r.replace(&col, json!({"@odata.type": "#C.C", "Name": "Systems v2"}))
+            .unwrap();
+        assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
+        // A member list the client made up is not taken either.
+        r.replace(
+            &col,
+            json!({"Name": "Systems v3", "Members": [], "Members@odata.count": 0}),
+        )
+        .unwrap();
+        let body = r.get(&col).unwrap().body;
+        assert_eq!(body["Name"], "Systems v3");
+        assert_eq!(body["Members@odata.count"], 1);
+        assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
+        // A replayed replace keeps them as well: its record need not carry them.
+        r.apply_record(&WalRecord::Replace {
+            id: col.as_str().to_string(),
+            body: json!({"Name": "Systems v4"}),
+            etag: 80,
+        });
+        assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
+        // A collection a journal installed without the array (snapshot
+        // installs are applied verbatim) is an error, not a panic.
+        r.apply_record(&WalRecord::InstallResource {
+            id: col.as_str().to_string(),
+            body: json!({"Name": "Systems"}),
+            etag: 90,
+            is_collection: true,
+        });
+        assert!(matches!(r.members(&col), Err(RedfishError::Internal(_))));
     }
 
     #[test]

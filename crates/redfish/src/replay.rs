@@ -10,109 +10,21 @@
 //! from a snapshot and once from the live segment it overlaps, converges
 //! to the same state).
 
-use crate::odata::{ETag, ODataId};
 use crate::registry::Registry;
 use ofmf_wal::WalRecord;
 
-/// Apply one registry-kind record to `reg`. Returns `false` (and does
-/// nothing) for records belonging to other subsystems — the caller feeds
-/// the full journal through and routes the rest itself.
-pub fn apply_record(reg: &Registry, rec: &WalRecord) -> bool {
-    match rec {
-        WalRecord::Create {
-            id,
-            body,
-            etag,
-            is_collection,
-            parent_etag,
-        } => {
-            let id = ODataId::new(id.as_str());
-            reg.install(&id, body.clone(), ETag(*etag), *is_collection);
-            reg.set_parent_link_raw(&id, true, parent_etag.map(ETag));
-            true
-        }
-        WalRecord::Patch { id, delta, etag } => {
-            reg.patch_raw(&ODataId::new(id.as_str()), delta, ETag(*etag));
-            true
-        }
-        WalRecord::Replace { id, body, etag } => {
-            reg.replace_raw(&ODataId::new(id.as_str()), body.clone(), ETag(*etag));
-            true
-        }
-        WalRecord::Delete { id, parent_etag } => {
-            let id = ODataId::new(id.as_str());
-            reg.remove_raw(&id, false);
-            reg.set_parent_link_raw(&id, false, parent_etag.map(ETag));
-            true
-        }
-        WalRecord::DeleteSubtree { id, parent_etag } => {
-            let id = ODataId::new(id.as_str());
-            reg.remove_raw(&id, true);
-            reg.set_parent_link_raw(&id, false, parent_etag.map(ETag));
-            true
-        }
-        WalRecord::InstallResource {
-            id,
-            body,
-            etag,
-            is_collection,
-        } => {
-            reg.install(&ODataId::new(id.as_str()), body.clone(), ETag(*etag), *is_collection);
-            true
-        }
-        WalRecord::EtagFloor { seq } => {
-            reg.ensure_etag_floor(*seq);
-            true
-        }
-        _ => false,
-    }
-}
-
-/// The highest ETag value this record pins, if any. After replaying a
-/// journal, the allocator must resume *above* the maximum ceiling seen so
-/// no ETag is ever reused.
-pub fn record_etag_ceiling(rec: &WalRecord) -> Option<u64> {
-    match rec {
-        WalRecord::Create { etag, parent_etag, .. } => Some((*etag).max(parent_etag.unwrap_or(0))),
-        WalRecord::Patch { etag, .. } | WalRecord::Replace { etag, .. } | WalRecord::InstallResource { etag, .. } => {
-            Some(*etag)
-        }
-        WalRecord::Delete { parent_etag, .. } | WalRecord::DeleteSubtree { parent_etag, .. } => *parent_etag,
-        WalRecord::EtagFloor { seq } => seq.checked_sub(1),
-        _ => None,
-    }
-}
-
-/// Replay every registry-kind record of `records` in order and resume the
-/// ETag allocator past the highest recorded value. Non-registry records
+/// Replay every registry-kind record of `records` in order; the ETag
+/// allocator resumes past the highest recorded value. Non-registry records
 /// are skipped. Returns how many records applied.
 pub fn apply_all(reg: &Registry, records: &[WalRecord]) -> usize {
-    let mut applied = 0usize;
-    let mut ceiling = 0u64;
-    for rec in records {
-        if apply_record(reg, rec) {
-            applied += 1;
-        }
-        if let Some(c) = record_etag_ceiling(rec) {
-            ceiling = ceiling.max(c);
-        }
-    }
-    reg.ensure_etag_floor(ceiling.saturating_add(1));
-    applied
+    records.iter().filter(|rec| reg.apply_record(rec)).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::odata::ODataId;
     use serde_json::json;
-
-    fn seeded() -> Registry {
-        let r = Registry::new();
-        let root = ODataId::new("/redfish/v1");
-        r.create(&root, json!({"Name": "root"})).unwrap();
-        r.create_collection(&root.child("Systems"), "#C.C", "Systems").unwrap();
-        r
-    }
 
     /// Compare two registries resource-by-resource, ETags included.
     fn assert_trees_identical(a: &Registry, b: &Registry) {
@@ -129,8 +41,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ofmf-replay-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = std::sync::Arc::new(ofmf_wal::Wal::open(&dir, ofmf_wal::FsyncPolicy::Off).unwrap());
-        let live = Registry::new();
-        live.set_journal(Some(wal.clone()));
+        let live = Registry::new().with_journal(Some(wal.clone()));
 
         let root = ODataId::new("/redfish/v1");
         live.create(&root, json!({"Name": "root"})).unwrap();
@@ -156,26 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_idempotent() {
-        let r = seeded();
-        let rec = WalRecord::Create {
-            id: "/redfish/v1/Systems/a".to_string(),
-            body: json!({"@odata.id": "/redfish/v1/Systems/a", "Name": "a"}),
-            etag: 50,
-            is_collection: false,
-            parent_etag: Some(51),
-        };
-        apply_record(&r, &rec);
-        apply_record(&r, &rec);
-        let col = ODataId::new("/redfish/v1/Systems");
-        assert_eq!(r.members(&col).unwrap().len(), 1, "double replay must not double-link");
-        assert_eq!(r.get(&col).unwrap().etag, ETag(51));
-        assert_eq!(r.get(&col.child("a")).unwrap().etag, ETag(50));
-    }
-
-    #[test]
     fn etag_floor_prevents_reuse() {
-        let r = seeded();
+        let r = Registry::new();
         apply_all(
             &r,
             &[WalRecord::Patch {

@@ -149,6 +149,16 @@ fn odata_query_options_over_the_wire() {
     assert_eq!(page["Members"].as_array().unwrap().len(), 2);
     assert_eq!(page["Members@odata.count"], total);
     assert_eq!(page["Members@odata.nextLink"], "/redfish/v1/Systems?$skip=3&$top=2");
+    // Both annotations are the registry's to state: a PATCH of either is a
+    // 400 and leaves the collection as it was.
+    for annotation in ["Members@odata.count", "Members@odata.nextLink"] {
+        let r = c.patch("/redfish/v1/Systems", &json!({annotation: 7})).unwrap();
+        assert_eq!(r.status, 400, "{annotation}");
+    }
+    assert_eq!(
+        c.get("/redfish/v1/Systems").unwrap().json().unwrap()["Members@odata.count"],
+        total
+    );
     // Combined with $expand the members are full documents.
     let expanded = c
         .get("/redfish/v1/Systems?$expand=.&$top=1&$select=Members")

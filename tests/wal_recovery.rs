@@ -155,6 +155,53 @@ fn full_stack_survives_a_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A client retrying its `Compose` POST names a live system: the retry is
+/// refused before it plans, binds or journals anything. And when a second
+/// intent for the name does reach the journal (two racing composes: the loser
+/// fails at the document create and aborts), a restart still restores the
+/// committed composition instead of dropping it from crash recovery.
+#[test]
+fn duplicate_name_compose_leaves_the_live_composition_recoverable() {
+    let dir = fresh_dir("duplicate-name");
+    let request = CompositionRequest::compute_only("job1", 8, 8).with_fabric_memory_mib(1024);
+    let job1 = ODataId::new("/redfish/v1/Systems/job1");
+    let original = {
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Always).expect("open"));
+        let ofmf = Ofmf::with_wal("ofmf-dup", credentials(), 7004, Arc::clone(&wal)).expect("fresh boot");
+        register_rig(&ofmf, 7004);
+        let composer = Composer::new(Arc::clone(&ofmf), Strategy::FirstFit);
+        let original = composer.compose(&request).expect("compose");
+
+        let journaled = wal.log_bytes();
+        let err = composer.compose(&request).expect_err("the name is taken");
+        assert_eq!(err.http_status(), 409);
+        assert_eq!(wal.log_bytes(), journaled, "refused before any journal record");
+
+        // What the loser of a same-name race leaves in the journal.
+        let system = job1.as_str().to_string();
+        ofmf.wal_record(ofmf_wal::WalRecord::ComposeIntent {
+            system: system.clone(),
+            node: "/redfish/v1/Systems/cn01".to_string(),
+            request: request.to_value(),
+            planned: json!([]),
+        });
+        ofmf.wal_record(ofmf_wal::WalRecord::ComposeAbort { system });
+        original
+    };
+
+    let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Always).expect("reopen"));
+    let ofmf = Ofmf::with_wal("ofmf-dup", credentials(), 7004, wal).expect("recovery boot");
+    register_rig(&ofmf, 7004);
+    ofmf.finish_recovery();
+    let composer = Composer::new(Arc::clone(&ofmf), Strategy::FirstFit);
+    assert_eq!(composer.recover(), (1, 0), "the committed composition is restored");
+    assert_eq!(composer.find(&job1), Some(original.clone()));
+    // Its node is taken again, so the next compose cannot land on it.
+    assert!(composer.inventory().compute.iter().all(|c| c.system != original.node));
+    assert!(ofmf.registry.dangling_links().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Sessions restored from the journal keep their ORIGINAL idle deadline:
 /// the sweep evicts them relative to the resumed clock, not a reset one.
 #[test]
