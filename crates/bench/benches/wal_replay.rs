@@ -134,18 +134,7 @@ fn bench_snapshot(c: &mut Criterion) {
     group.bench_function(&format!("compact_{n}"), |b| {
         b.iter(|| {
             let written = wal
-                .snapshot_with(|| {
-                    let mut recs = Vec::new();
-                    reg.for_each(|id, node| {
-                        recs.push(WalRecord::InstallResource {
-                            id: id.as_str().to_string(),
-                            body: node.body.clone(),
-                            etag: node.etag.0,
-                            is_collection: node.is_collection,
-                        });
-                    });
-                    recs
-                })
+                .snapshot_with(|out| reg.stream_snapshot(out))
                 .expect("snapshot dir writable");
             std::hint::black_box(written);
         });

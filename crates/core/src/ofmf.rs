@@ -317,21 +317,27 @@ impl Ofmf {
     }
 
     /// Write a compacted snapshot of the full control-plane state and
-    /// truncate the live log. Returns the number of records written (0
-    /// without a WAL).
+    /// truncate the live log. The tree is streamed a batch at a time (see
+    /// [`Registry::stream_snapshot`]); the other services' records are few
+    /// and follow it. Returns the number of records written (0 without a
+    /// WAL).
     pub fn write_snapshot(&self) -> std::io::Result<usize> {
-        match &self.wal {
-            Some(w) => w.snapshot_with(|| self.collect_snapshot_records()),
-            None => Ok(0),
-        }
+        let Some(w) = &self.wal else { return Ok(0) };
+        w.snapshot_with(|out| {
+            out.push(&WalRecord::ClockMark {
+                now_ms: self.clock.now_ms(),
+            });
+            self.registry.stream_snapshot(out)?;
+            for rec in self.service_snapshot_records() {
+                out.push(&rec);
+            }
+            Ok(())
+        })
     }
 
-    fn collect_snapshot_records(&self) -> Vec<WalRecord> {
-        let mut recs = vec![WalRecord::ClockMark {
-            now_ms: self.clock.now_ms(),
-        }];
-        recs.extend(self.registry.snapshot_records());
-        recs.extend(self.sessions.snapshot_records());
+    /// The snapshot records of everything but the tree.
+    fn service_snapshot_records(&self) -> Vec<WalRecord> {
+        let mut recs = self.sessions.snapshot_records();
         recs.extend(self.events.snapshot_records());
         // Undrained teardown compensation survives compaction: ops held by
         // live supervisors, plus ops recovered for still-absent agents.

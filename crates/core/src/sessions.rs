@@ -20,14 +20,46 @@ use std::sync::Arc;
 /// Default idle timeout (ms of service clock).
 pub const DEFAULT_TIMEOUT_MS: u64 = 30 * 60 * 1000;
 
-#[derive(Debug, Clone)]
+/// How many times per idle timeout a busy session's timer is journaled: a
+/// `SessionTouch` is written once the in-memory timer has run one granule
+/// (`timeout_ms / TOUCH_GRANULES`) ahead of the journaled one.
+const TOUCH_GRANULES: u64 = 16;
+
+#[derive(Debug)]
 struct Live {
     session_id: String,
     user: String,
-    last_used_ms: u64,
+    /// Clock reading at the last authenticate, refreshed under the table's
+    /// *read* lock.
+    last_used_ms: AtomicU64,
+    /// The `last_used_ms` the journal holds for this session: its login's,
+    /// or its last journaled touch's.
+    journaled_ms: AtomicU64,
+}
+
+impl Live {
+    fn new(session_id: &str, user: &str, last_used_ms: u64) -> Live {
+        Live {
+            session_id: session_id.to_string(),
+            user: user.to_string(),
+            last_used_ms: AtomicU64::new(last_used_ms),
+            journaled_ms: AtomicU64::new(last_used_ms),
+        }
+    }
+
+    fn last_used_ms(&self) -> u64 {
+        self.last_used_ms.load(Ordering::Acquire)
+    }
 }
 
 /// The session service.
+///
+/// Durability: logins and ends are journaled as they happen; a session's
+/// idle timer is not — an authenticated request writes nothing unless the
+/// timer is a whole granule ahead of what the journal holds. After a crash
+/// a restored session therefore never outlives its pre-crash deadline, and
+/// falls short of it by less than one granule (plus the `ClockMark` lag of
+/// the resumed clock).
 pub struct SessionService {
     clock: Arc<Clock>,
     /// username → password. A production OFMF would back this with the
@@ -37,10 +69,11 @@ pub struct SessionService {
     next: AtomicU64,
     seed: u64,
     timeout_ms: u64,
-    /// Durability journal, fixed at construction. Session lifecycle records
-    /// are appended while the token-table lock is held, so per-token
-    /// ordering (login → touches → end) is exact on replay. Lock order:
-    /// tokens → WAL file mutex (leaf).
+    /// Durability journal, fixed at construction. A session's login and end
+    /// are appended under the token table's write lock and its touches under
+    /// the read lock, so no touch can follow its session's end; two touches
+    /// may land out of order, which [`SessionService::replay`] folds with
+    /// `max`. Lock order: tokens → WAL file mutex (leaf).
     journal: Option<Arc<Wal>>,
 }
 
@@ -108,14 +141,7 @@ impl SessionService {
         let now = self.clock.now_ms();
         reg.create(&col.child(&sid), Session::new(&col, &sid, user, now).to_value())?;
         let mut tokens = self.tokens.write();
-        tokens.insert(
-            token.clone(),
-            Live {
-                session_id: sid.clone(),
-                user: user.to_string(),
-                last_used_ms: now,
-            },
-        );
+        tokens.insert(token.clone(), Live::new(&sid, user, now));
         self.journal_record(WalRecord::SessionLogin {
             token: token.clone(),
             session_id: sid.clone(),
@@ -126,26 +152,60 @@ impl SessionService {
         Ok((token, col.child(&sid)))
     }
 
+    fn expired(&self, live: &Live, now: u64) -> bool {
+        now.saturating_sub(live.last_used_ms()) > self.timeout_ms
+    }
+
     /// Validate a token, refreshing its idle timer. Returns the username.
+    /// Takes the token table's read lock only, and journals nothing unless
+    /// the timer has run a granule ahead of the journal; an expired token
+    /// alone upgrades to the write lock, to be reaped.
     pub fn authenticate(&self, reg: &Registry, token: &str) -> RedfishResult<String> {
         let now = self.clock.now_ms();
-        let mut tokens = self.tokens.write();
-        let Some(live) = tokens.get_mut(token) else {
-            return Err(RedfishError::Unauthorized);
-        };
-        if now.saturating_sub(live.last_used_ms) > self.timeout_ms {
-            let sid = self.end(&mut tokens, token);
-            drop(tokens);
-            let _ = sid.map(|sid| reg.delete(&sid));
-            return Err(RedfishError::Unauthorized);
+        {
+            let tokens = self.tokens.read();
+            let Some(live) = tokens.get(token) else {
+                return Err(RedfishError::Unauthorized);
+            };
+            if !self.expired(live, now) {
+                live.last_used_ms.fetch_max(now, Ordering::AcqRel);
+                self.journal_touch(token, live, now);
+                return Ok(live.user.clone());
+            }
         }
-        live.last_used_ms = now;
-        let user = live.user.clone();
-        self.journal_record(WalRecord::SessionTouch {
-            token: token.to_string(),
-            last_used_ms: now,
-        });
-        Ok(user)
+        let mut tokens = self.tokens.write();
+        // Reap it unless a request with an earlier clock reading refreshed
+        // it while the lock was released.
+        let sid = match tokens.get(token) {
+            Some(live) if self.expired(live, now) => self.end(&mut tokens, token),
+            _ => None,
+        };
+        drop(tokens);
+        let _ = sid.map(|sid| reg.delete(&sid));
+        Err(RedfishError::Unauthorized)
+    }
+
+    /// Journal a `SessionTouch` at `now` if the journaled timer is a granule
+    /// or more behind it. The compare-exchange elects one journaling thread
+    /// per granule; a loser re-checks against the winner's value.
+    fn journal_touch(&self, token: &str, live: &Live, now: u64) {
+        let granule = self.timeout_ms / TOUCH_GRANULES;
+        let mut journaled = live.journaled_ms.load(Ordering::Acquire);
+        while now >= journaled.saturating_add(granule) {
+            match live
+                .journaled_ms
+                .compare_exchange(journaled, now, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => {
+                    self.journal_record(WalRecord::SessionTouch {
+                        token: token.to_string(),
+                        last_used_ms: now,
+                    });
+                    return;
+                }
+                Err(current) => journaled = current,
+            }
+        }
     }
 
     /// Drop `token` from the table and journal its end (logout or expiry).
@@ -168,16 +228,26 @@ impl SessionService {
     /// Reap every session idle past the timeout, deleting its resource from
     /// the tree. Called on each login and from the daemon's poll loop, so
     /// abandoned sessions disappear without their token ever being
-    /// re-presented. Returns the number of sessions reaped.
+    /// re-presented. Scans under the read lock; the write lock is taken only
+    /// when something expired. Returns the number of sessions reaped.
     pub fn sweep_expired(&self, reg: &Registry) -> usize {
         let now = self.clock.now_ms();
+        let expired: Vec<String> = {
+            let tokens = self.tokens.read();
+            let idle = tokens.iter().filter(|(_, live)| self.expired(live, now));
+            idle.map(|(t, _)| t.clone()).collect()
+        };
+        if expired.is_empty() {
+            return 0;
+        }
         let mut tokens = self.tokens.write();
-        let expired: Vec<String> = tokens
-            .iter()
-            .filter(|(_, live)| now.saturating_sub(live.last_used_ms) > self.timeout_ms)
-            .map(|(t, _)| t.clone())
-            .collect();
-        let doomed: Vec<ODataId> = expired.iter().filter_map(|t| self.end(&mut tokens, t)).collect();
+        let mut doomed = Vec::new();
+        for token in &expired {
+            // Still expired: not refreshed or ended since the scan.
+            if tokens.get(token).is_some_and(|live| self.expired(live, now)) {
+                doomed.extend(self.end(&mut tokens, token));
+            }
+        }
         drop(tokens);
         for sid in &doomed {
             let _ = reg.delete(sid);
@@ -186,9 +256,10 @@ impl SessionService {
     }
 
     /// Fold the session records of a replayed journal (login → insert,
-    /// touch → idle-timer update, end → remove) into the token table. A
-    /// restored session keeps its identity and its pre-crash `last_used_ms`,
-    /// so it expires exactly `timeout_ms` after that — neither immortal nor
+    /// touch → idle timer raised, never lowered: touches may be journaled
+    /// out of order; end → remove) into the token table. A restored session
+    /// keeps its identity and its last journaled `last_used_ms`, so it
+    /// expires exactly `timeout_ms` after that — neither immortal nor
     /// instantly reaped. Touches no registry resource (those come back
     /// through registry-record replay) and journals nothing.
     pub fn replay(&self, records: &[WalRecord]) {
@@ -201,16 +272,12 @@ impl SessionService {
                     user,
                     last_used_ms,
                 } => {
-                    let live = Live {
-                        session_id: session_id.clone(),
-                        user: user.clone(),
-                        last_used_ms: *last_used_ms,
-                    };
-                    tokens.insert(token.clone(), live);
+                    tokens.insert(token.clone(), Live::new(session_id, user, *last_used_ms));
                 }
                 WalRecord::SessionTouch { token, last_used_ms } => {
-                    if let Some(live) = tokens.get_mut(token) {
-                        live.last_used_ms = *last_used_ms;
+                    if let Some(live) = tokens.get(token) {
+                        live.last_used_ms.fetch_max(*last_used_ms, Ordering::AcqRel);
+                        live.journaled_ms.fetch_max(*last_used_ms, Ordering::AcqRel);
                     }
                 }
                 WalRecord::SessionEnd { token } => {
@@ -226,8 +293,9 @@ impl SessionService {
         }
     }
 
-    /// One `SessionLogin` record per live session — the compact form a
-    /// snapshot stores instead of the login/touch/end history.
+    /// One `SessionLogin` record per live session, carrying its exact
+    /// in-memory idle timer — the compact form a snapshot stores instead of
+    /// the login/touch/end history.
     pub fn snapshot_records(&self) -> Vec<WalRecord> {
         let tokens = self.tokens.read();
         let mut live: Vec<(&String, &Live)> = tokens.iter().collect();
@@ -236,7 +304,7 @@ impl SessionService {
             token: token.clone(),
             session_id: live.session_id.clone(),
             user: live.user.clone(),
-            last_used_ms: live.last_used_ms,
+            last_used_ms: live.last_used_ms(),
         };
         live.into_iter().map(login).collect()
     }
@@ -378,6 +446,19 @@ mod tests {
     }
 
     #[test]
+    fn replayed_touches_never_move_the_idle_timer_backwards() {
+        // Touches are journaled under the table's read lock, so two of them
+        // may land in the journal out of order.
+        let (_reg, svc, _clock) = setup(1000);
+        let touch = |last_used_ms| WalRecord::SessionTouch {
+            token: "ofmf-t".to_string(),
+            last_used_ms,
+        };
+        svc.replay(&[login_record("ofmf-t", "1", 400), touch(900), touch(500)]);
+        assert_eq!(svc.snapshot_records(), vec![login_record("ofmf-t", "1", 900)]);
+    }
+
+    #[test]
     fn journaled_lifecycle_replays_to_the_live_sessions() {
         let dir = std::env::temp_dir().join(format!("ofmf-sess-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -417,6 +498,98 @@ mod tests {
         // New logins are numbered above the restored sessions.
         let (_token, sid) = svc2.login(&reg2, "admin", "hunter2").unwrap();
         assert_eq!(sid.as_str(), "/redfish/v1/SessionService/Sessions/3");
+    }
+
+    #[test]
+    fn a_busy_session_journals_one_touch_per_granule() {
+        let dir = std::env::temp_dir().join(format!("ofmf-sess-granule-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = Arc::new(Wal::open(&dir, ofmf_wal::FsyncPolicy::Off).unwrap());
+        let (reg, svc, clock) = setup(1600); // granule: 100 ms
+        let svc = svc.with_journal(Some(Arc::clone(&wal)));
+        let (token, _) = svc.login(&reg, "admin", "hunter2").unwrap();
+        for _ in 0..25 {
+            clock.advance_ms(10);
+            svc.authenticate(&reg, &token).unwrap();
+        }
+        // In memory every request refreshed the timer; the journal holds the
+        // two granule crossings, and a replay lands less than a granule back.
+        assert_eq!(svc.snapshot_records(), vec![login_record(&token, "1", 250)]);
+        let journal = wal.replay().unwrap().records;
+        let touches: Vec<&WalRecord> = journal
+            .iter()
+            .filter(|r| matches!(r, WalRecord::SessionTouch { .. }))
+            .collect();
+        assert_eq!(touches.len(), 2, "{touches:?}");
+        let (_reg2, svc2, _clock2) = setup(1600);
+        svc2.replay(&journal);
+        assert_eq!(svc2.snapshot_records(), vec![login_record(&token, "1", 200)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Four threads on one table: two authenticate a shared session, one
+    /// logs sessions in and out, one moves the clock and sweeps. The clock
+    /// moves less than one timeout in all, so only the session that was idle
+    /// before the race may expire. Under `--features lockcheck` this also
+    /// feeds the lock-order graph the read-side `tokens → WAL` edge.
+    #[test]
+    fn authenticate_logout_and_sweep_race_without_losing_a_live_session() {
+        const TIMEOUT_MS: u64 = 400;
+        const ROUNDS: u64 = 300;
+        let dir = std::env::temp_dir().join(format!("ofmf-sess-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = Arc::new(Wal::open(&dir, ofmf_wal::FsyncPolicy::Off).unwrap());
+        let (reg, svc, clock) = setup(TIMEOUT_MS);
+        let svc = svc.with_journal(Some(Arc::clone(&wal)));
+        let (idle, idle_sid) = svc.login(&reg, "admin", "hunter2").unwrap();
+        clock.advance_ms(TIMEOUT_MS - 50);
+        let (shared, shared_sid) = svc.login(&reg, "admin", "hunter2").unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS * 4 {
+                        assert_eq!(svc.authenticate(&reg, &shared).unwrap(), "admin");
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    let (t, sid) = svc.login(&reg, "admin", "hunter2").unwrap();
+                    assert!(svc.authenticate(&reg, &t).is_ok());
+                    svc.logout(&reg, &t).unwrap();
+                    assert!(svc.authenticate(&reg, &t).is_err());
+                    assert!(!reg.exists(&sid));
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    clock.advance_ms(1);
+                    svc.sweep_expired(&reg);
+                }
+            });
+        });
+        // The idle session was reaped (by a sweep or a login) and nothing
+        // else was: the shared one is what is left.
+        assert!(svc.authenticate(&reg, &idle).is_err());
+        assert!(!reg.exists(&idle_sid) && reg.exists(&shared_sid));
+        assert_eq!(svc.authenticate(&reg, &shared).unwrap(), "admin");
+        assert_eq!(svc.session_count(), 1);
+        // The journal folds to the same table, the timer within one granule.
+        let (_reg2, svc2, _clock2) = setup(TIMEOUT_MS);
+        svc2.replay(&wal.replay().unwrap().records);
+        let used = |recs: Vec<WalRecord>| match recs.as_slice() {
+            [WalRecord::SessionLogin {
+                token, last_used_ms, ..
+            }] if *token == shared => *last_used_ms,
+            other => panic!("exactly the shared session: {other:?}"),
+        };
+        let (live, restored) = (used(svc.snapshot_records()), used(svc2.snapshot_records()));
+        assert!(restored <= live && live - restored < TIMEOUT_MS / TOUCH_GRANULES);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

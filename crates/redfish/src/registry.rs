@@ -39,10 +39,11 @@ use crate::error::{RedfishError, RedfishResult};
 use crate::odata::{ETag, ODataId};
 use crate::patch::{first_read_only_violation, merge_patch};
 use crate::path::{fnv1a, top_segment, valid_member_id};
-use ofmf_wal::{Wal, WalRecord};
+use ofmf_wal::{SnapshotWriter, Wal, WalRecord};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -55,6 +56,10 @@ const STRIPES: usize = 16;
 /// flushed wholesale (epoch-style) — simple, bounded, and hot entries are
 /// re-admitted on the next read.
 const WIRE_CACHE_CAP: usize = 4096;
+
+/// Resources a streamed snapshot encodes per stripe-lock hold: the unit of
+/// its lock hold time and of its buffered memory.
+const SNAPSHOT_BATCH: usize = 256;
 
 /// A resource document plus its registry metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -687,21 +692,43 @@ impl Registry {
         self.etag_seq.load(Ordering::Acquire)
     }
 
-    /// The compacted snapshot of the whole tree: one install record per
-    /// resource (path order) plus the allocator floor. Taken under a
-    /// consistent all-shard read snapshot.
-    pub fn snapshot_records(&self) -> Vec<WalRecord> {
-        let mut out = Vec::with_capacity(self.len() + 1);
-        self.for_each(|id, node| {
-            out.push(WalRecord::InstallResource {
-                id: id.as_str().to_string(),
-                body: node.body.clone(),
-                etag: node.etag.0,
-                is_collection: node.is_collection,
-            });
-        });
-        out.push(WalRecord::EtagFloor { seq: self.etag_seq() });
-        out
+    /// Stream the compacted snapshot of the whole tree into `out`: one
+    /// install record per resource, then the allocator floor. One stripe is
+    /// read-locked at a time, for one batch of [`SNAPSHOT_BATCH`] resources
+    /// (id order, resuming after the last id written): frames are encoded
+    /// from the borrowed bodies into `out`'s pending batch, and the batch is
+    /// written once the stripe is released — no lock is held across I/O,
+    /// and the walk never holds more than a batch.
+    ///
+    /// The result is not a cut of the tree at one instant, and need not be:
+    /// an install record sets its resource absolutely, and every mutation
+    /// that races the walk is in the journal segment replayed over the
+    /// snapshot, where [`WriteSpan::transition`]'s ETag gates make it
+    /// converge whether or not the walk had already seen it.
+    pub fn stream_snapshot(&self, out: &mut SnapshotWriter) -> std::io::Result<()> {
+        for shard in &self.shards {
+            let mut resume: Bound<ODataId> = Bound::Unbounded;
+            loop {
+                {
+                    let tree = shard.tree.read();
+                    let mut last = None;
+                    for (id, node) in tree
+                        .nodes
+                        .range((resume.as_ref(), Bound::Unbounded))
+                        .take(SNAPSHOT_BATCH)
+                    {
+                        out.push_install(id.as_str(), &node.body, node.etag.0, node.is_collection);
+                        last = Some(id);
+                    }
+                    let Some(last) = last else { break };
+                    resume = Bound::Excluded(last.clone());
+                }
+                out.flush()?;
+            }
+        }
+        // Read after the walk, so it is above every ETag written.
+        out.push(&WalRecord::EtagFloor { seq: self.etag_seq() });
+        Ok(())
     }
 }
 

@@ -59,6 +59,10 @@ mod tests {
             .unwrap();
         live.delete_subtree(&col.child("c"));
 
+        // One frame per mutation, in the on-disk format every journal
+        // written so far is in: the bytes are pinned, not just their decode.
+        assert_eq!(wal.log_bytes(), 1262);
+
         let replayed = Registry::new();
         let records = wal.replay().unwrap().records;
         assert!(apply_all(&replayed, &records) > 0);

@@ -3,7 +3,8 @@
 //! replay(snapshot + WAL suffix) reconstructs a tree identical to the live
 //! one: same resources, same bodies, same ETags, same `Members` lists and
 //! counts, same link closure, and an ETag allocator that resumes above
-//! every allocated value.
+//! every allocated value. A second test streams the snapshots while two
+//! threads keep writing, which is how the daemon's poll thread takes them.
 
 use proptest::prelude::*;
 use redfish_model::odata::ODataId;
@@ -135,7 +136,7 @@ proptest! {
                     let _ = live.create(&nested.child("p"), json!({"Name": "p"}));
                 }
                 Op::Snapshot => {
-                    wal.snapshot_with(|| live.snapshot_records()).unwrap();
+                    wal.snapshot_with(|out| live.stream_snapshot(out)).unwrap();
                 }
             }
         }
@@ -161,4 +162,99 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// One writer's round of churn: every mutation kind, over ids both writers
+/// use (`Systems`, `Fabrics`: one stripe), the big `Chassis` collection
+/// (another), and a top-level collection of its own (a third and fourth)
+/// that it links from the root document (a fifth) while it exists.
+fn churn(live: &Registry, writer: usize, round: usize) {
+    let root = ODataId::new("/redfish/v1");
+    for step in 0..40 {
+        let k = round * 40 + step;
+        let shared = root
+            .child(["Systems", "Fabrics"][k % 2])
+            .child(["a", "b", "c", "d"][(k / 2 + writer) % 4]);
+        let _ = live.create(&shared, json!({"Name": "shared", "Writer": writer}));
+        let _ = live.patch(&shared, &json!({"Value": k}), None);
+        let _ = live.create(&shared.child("Sub"), json!({"Name": "sub"}));
+        let chassis = root
+            .child("Chassis")
+            .child(&format!("c{:03}", (k * 37 + writer * 300) % 600));
+        let _ = live.patch(&chassis, &json!({"Value": k}), None);
+        let _ = live.replace(&chassis, json!({"Name": "replaced", "Round": round}));
+        if k.is_multiple_of(3) {
+            let _ = live.delete(&chassis);
+        } else {
+            let _ = live.create(&chassis, json!({"Name": "back"}));
+        }
+        if k.is_multiple_of(5) {
+            let _ = live.delete_subtree(&shared);
+        }
+    }
+    let racks = root.child(&format!("Racks{writer}"));
+    live.create_collection(&racks, "#C.C", "Racks").unwrap();
+    let link = |target: serde_json::Value| json!({"Links": {format!("Racks{writer}"): target}});
+    live.patch(&root, &link(json!({"@odata.id": racks.as_str()})), None)
+        .unwrap();
+    live.create(&racks.child("r1"), json!({"Name": "r1"})).unwrap();
+    if round.is_multiple_of(2) {
+        live.patch(&root, &link(serde_json::Value::Null), None).unwrap();
+        assert_eq!(live.delete_subtree(&racks), 2);
+    } else {
+        live.delete(&racks.child("r1")).unwrap();
+        live.patch(&root, &link(serde_json::Value::Null), None).unwrap();
+        live.delete(&racks).unwrap();
+    }
+}
+
+#[test]
+fn snapshot_under_concurrent_writers_replays_to_the_live_tree() {
+    const ROUNDS: usize = 24;
+    let dir = wal_dir();
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Arc::new(ofmf_wal::Wal::open(&dir, ofmf_wal::FsyncPolicy::Off).unwrap());
+    let live = seeded_with_journal(&wal);
+    // More than two snapshot batches in one stripe: the walk lets go of the
+    // Chassis stripe, and writers in, part-way through the collection.
+    let chassis = ODataId::new("/redfish/v1/Chassis");
+    for i in 0..600 {
+        live.create(&chassis.child(&format!("c{i:03}")), json!({"Name": i}))
+            .unwrap();
+    }
+    // Each round: both writers churn while this thread streams snapshots,
+    // the last of them the one the writers finish under; then they hold
+    // still while it replays the journal against the tree.
+    let phase = std::sync::Barrier::new(3);
+    let rounds_churned = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for writer in 0..2 {
+            let (live, phase, rounds_churned) = (&live, &phase, &rounds_churned);
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    phase.wait();
+                    churn(live, writer, round);
+                    rounds_churned.fetch_add(1, Ordering::SeqCst);
+                    phase.wait();
+                }
+            });
+        }
+        for round in 0..ROUNDS {
+            phase.wait();
+            loop {
+                wal.snapshot_with(|out| live.stream_snapshot(out)).unwrap();
+                if rounds_churned.load(Ordering::SeqCst) == 2 * (round as u64 + 1) {
+                    break;
+                }
+            }
+            phase.wait();
+            let replayed = Registry::new();
+            let replay = wal.replay().unwrap();
+            assert_eq!(replay.torn_tails, 0);
+            apply_all(&replayed, &replay.records);
+            assert_trees_identical(&live, &replayed).unwrap_or_else(|e| panic!("round {round}: {e:?}"));
+            assert!(live.dangling_links().is_empty(), "round {round}");
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,6 +9,11 @@ use std::fmt;
 
 pub use serde::value::{Map, Number, Value};
 
+/// Append the JSON string literal of `s` — the escaping the printers use,
+/// for callers that write JSON text around borrowed strings.
+#[doc(hidden)]
+pub use serde::value::write_escaped;
+
 /// Error raised by parsing or conversion.
 #[derive(Debug, Clone)]
 pub struct Error(String);
@@ -81,8 +86,6 @@ pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T> {
 }
 
 // ---------------------------------------------------------------- printer
-
-use serde::value::write_escaped;
 
 fn write_compact(v: &Value) -> String {
     v.to_string()

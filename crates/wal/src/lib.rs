@@ -11,16 +11,18 @@
 //!
 //! * `wal.log` — the live append segment.
 //! * `snapshot.bin` — the last compacted snapshot (same frame format).
-//! * `wal.old` — the sealed previous segment, present only between a
+//! * `wal.old` — the sealed previous segment(s), present only between a
 //!   snapshot's log rotation and its rename-into-place (i.e. after a
-//!   crash mid-snapshot).
+//!   crash mid-snapshot or a snapshot that failed). A later rotation
+//!   appends to it; only a published snapshot removes it.
 //!
 //! Replay order is `snapshot.bin`, then `wal.old` (if any), then
 //! `wal.log` — always a consistent prefix of history. Records are
 //! *idempotent* (they carry absolute ETags and full bodies), so a record
 //! that lands both in a snapshot and in the live segment replays to the
 //! same state; that is what makes the rotate-then-collect snapshot safe
-//! against concurrent writers.
+//! against concurrent writers, and what lets a snapshot be streamed a
+//! batch at a time ([`SnapshotWriter`]) instead of cut at one instant.
 //!
 //! ## Group commit
 //!
@@ -63,13 +65,16 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parse a CLI spelling: `always`, `off`, `batch` (default 25 ms) or
-    /// `batch:<ms>`.
+    /// The daemon's default: one fsync per 5 ms window.
+    pub const DEFAULT: FsyncPolicy = FsyncPolicy::Batch(5);
+
+    /// Parse a CLI spelling: `always`, `off`, `batch:<ms>`, or a bare
+    /// `batch` for [`FsyncPolicy::DEFAULT`]'s window.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         match s {
             "always" => Some(FsyncPolicy::Always),
             "off" => Some(FsyncPolicy::Off),
-            "batch" => Some(FsyncPolicy::Batch(25)),
+            "batch" => Some(FsyncPolicy::DEFAULT),
             other => {
                 let ms = other.strip_prefix("batch:")?;
                 ms.parse::<u64>().ok().map(FsyncPolicy::Batch)
@@ -137,8 +142,50 @@ const OLD_FILE: &str = "wal.old";
 const SNAP_FILE: &str = "snapshot.bin";
 const SNAP_TMP: &str = "snapshot.tmp";
 
-fn json_err(e: serde_json::Error) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("wal record encode: {e}"))
+/// The sink [`Wal::snapshot_with`] hands its closure. Records are framed
+/// into a pending batch in memory as they are pushed, and the batch
+/// reaches `snapshot.tmp` on [`SnapshotWriter::flush`] — so a producer
+/// walking a locked structure pushes under its lock and flushes after
+/// releasing it, and never holds more than one batch.
+pub struct SnapshotWriter {
+    file: File,
+    payload: String,
+    batch: Vec<u8>,
+    records: usize,
+    bytes: u64,
+}
+
+impl SnapshotWriter {
+    /// Frame one record into the pending batch (memory only).
+    pub fn push(&mut self, rec: &WalRecord) {
+        self.payload.clear();
+        rec.encode(&mut self.payload);
+        self.frame();
+    }
+
+    /// Frame one [`WalRecord::InstallResource`] from borrowed parts
+    /// (memory only): the same bytes [`SnapshotWriter::push`] writes for
+    /// the owned record, without cloning the body into one.
+    pub fn push_install(&mut self, id: &str, body: &Value, etag: u64, is_collection: bool) {
+        self.payload.clear();
+        record::encode_install(id, body, etag, is_collection, &mut self.payload);
+        self.frame();
+    }
+
+    fn frame(&mut self) {
+        frame::encode_frame(self.payload.as_bytes(), &mut self.batch);
+        self.records += 1;
+    }
+
+    /// Write the pending batch to `snapshot.tmp`. Call with no lock held.
+    pub fn flush(&mut self) -> io::Result<()> {
+        #[cfg(feature = "lockcheck")]
+        parking_lot::blocking_op("wal.file.snapshot");
+        self.file.write_all(&self.batch)?; // ofmf-lint: allow(no-blocking-while-locked, "a snapshot's writes hold only the snap mutex, taken by no hot path")
+        self.bytes += self.batch.len() as u64;
+        self.batch.clear();
+        Ok(())
+    }
 }
 
 impl Wal {
@@ -208,10 +255,12 @@ impl Wal {
         if recs.is_empty() {
             return Ok(());
         }
+        let mut payload = String::new();
         let mut buf = Vec::new();
         for r in recs {
-            let payload = serde_json::to_vec(&r.to_value()).map_err(json_err)?;
-            frame::encode_frame(&payload, &mut buf);
+            payload.clear();
+            r.encode(&mut payload);
+            frame::encode_frame(payload.as_bytes(), &mut buf);
         }
         let mut inner = self.inner.lock();
         #[cfg(feature = "lockcheck")]
@@ -266,70 +315,86 @@ impl Wal {
     }
 
     /// Write a compacted snapshot. The live segment is rotated out
-    /// *before* `collect` runs, so the collected state is guaranteed to
+    /// *before* `produce` runs, so the state it streams is guaranteed to
     /// cover everything in the sealed segment; mutations racing with the
-    /// collection land in the fresh segment and replay idempotently on
-    /// top of the snapshot.
-    pub fn snapshot_with<F>(&self, collect: F) -> io::Result<usize>
+    /// production land in the fresh segment and replay idempotently on
+    /// top of the snapshot. Returns the number of records written. On an
+    /// error the sealed segment stays (replay reads it, and the next
+    /// rotation extends it) and the previous snapshot stays published.
+    pub fn snapshot_with<F>(&self, produce: F) -> io::Result<usize>
     where
-        F: FnOnce() -> Vec<WalRecord>,
+        F: FnOnce(&mut SnapshotWriter) -> io::Result<()>,
     {
         let mut span = ofmf_obs::enter_span("ofmf.wal.snapshot");
         let _guard = self.snap.lock();
         self.rotate_log()?;
-        let records = collect();
-        let mut buf = Vec::new();
-        for r in &records {
-            let payload = serde_json::to_vec(&r.to_value()).map_err(json_err)?;
-            frame::encode_frame(&payload, &mut buf);
-        }
         let tmp = self.dir.join(SNAP_TMP);
-        #[cfg(feature = "lockcheck")]
-        parking_lot::blocking_op("wal.file.snapshot");
-        let mut f = File::create(&tmp)?; // ofmf-lint: allow(no-blocking-while-locked, "snapshot collection holds only the snap mutex, taken by no hot path")
-        f.write_all(&buf)?;
+        let mut out = SnapshotWriter {
+            file: File::create(&tmp)?, // ofmf-lint: allow(no-blocking-while-locked, "snapshot production holds only the snap mutex, taken by no hot path")
+            payload: String::new(),
+            batch: Vec::new(),
+            records: 0,
+            bytes: 0,
+        };
+        produce(&mut out)?;
+        out.flush()?;
         // ofmf-wal: policy — the rename below must publish a fully durable snapshot
-        f.sync_all()?; // ofmf-lint: allow(no-blocking-while-locked, "durability point: the rename below must publish a fully durable snapshot")
-        drop(f);
-        std::fs::rename(&tmp, self.snapshot_path())?; // ofmf-lint: allow(no-blocking-while-locked, "atomic publish of the snapshot under the snap mutex only")
-        if let Ok(d) = File::open(&self.dir) {
-            // ofmf-wal: policy — make the rename itself durable before dropping the old segment
-            let _ = d.sync_all(); // ofmf-lint: allow(no-blocking-while-locked, "make the rename durable before dropping the old segment")
-        }
-        let _ = std::fs::remove_file(self.old_path()); // ofmf-lint: allow(no-blocking-while-locked, "old segment removal after the snapshot superseded it")
+        out.file.sync_all()?; // ofmf-lint: allow(no-blocking-while-locked, "durability point, then the atomic publish it guards: under the snap mutex only")
+        std::fs::rename(&tmp, self.snapshot_path())?;
+        // ofmf-wal: policy — make the rename itself durable before dropping the old segment
+        let _ = File::open(&self.dir).and_then(|d| d.sync_all()); // ofmf-lint: allow(no-blocking-while-locked, "make the rename durable, then drop the segment the snapshot superseded: under the snap mutex only")
+        let _ = std::fs::remove_file(self.old_path());
         self.snapshots.inc();
-        span.annotate("records", records.len().to_string());
-        span.annotate("bytes", buf.len().to_string());
-        Ok(records.len())
+        span.annotate("records", out.records.to_string());
+        span.annotate("bytes", out.bytes.to_string());
+        Ok(out.records)
     }
 
+    /// Seal the live segment into `wal.old` and start a fresh one. A
+    /// `wal.old` that is already there — a crash or an error between an
+    /// earlier rotation and its snapshot's publish — holds records no
+    /// snapshot covers yet, so it is extended, never replaced: the live
+    /// segment is appended to it and made durable before the live log is
+    /// emptied. (A crash in between leaves the segment in both files;
+    /// replaying it twice converges, records being idempotent.)
     fn rotate_log(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
         #[cfg(feature = "lockcheck")]
         parking_lot::blocking_op("wal.file.rotate");
-        // ofmf-wal: policy — seal the segment before the snapshot supersedes it
-        inner.log.sync_data()?; // ofmf-lint: allow(no-blocking-while-locked, "segment seal: rotation must not interleave with appends")
-        std::fs::rename(self.log_path(), self.old_path())?; // ofmf-lint: allow(no-blocking-while-locked, "segment rotation under the append mutex by design")
-        inner.log = OpenOptions::new().create(true).append(true).open(self.log_path())?;
+        // Seal the segment before the snapshot supersedes it.
+        self.sync(&mut inner)?;
+        if self.old_path().exists() {
+            let mut old = OpenOptions::new().append(true).open(self.old_path())?; // ofmf-lint: allow(no-blocking-while-locked, "carry-over copy: rotation must not interleave with appends")
+            io::copy(&mut File::open(self.log_path())?, &mut old)?;
+            // ofmf-wal: policy — the carried-over segment must be durable in wal.old before it leaves wal.log
+            old.sync_all()?; // ofmf-lint: allow(no-blocking-while-locked, "carry-over durability point, then the live log it empties: under the append mutex by design")
+            inner.log.set_len(0)?;
+        } else {
+            std::fs::rename(self.log_path(), self.old_path())?; // ofmf-lint: allow(no-blocking-while-locked, "segment rotation under the append mutex by design")
+            inner.log = OpenOptions::new().create(true).append(true).open(self.log_path())?;
+        }
         inner.log_bytes = 0;
-        inner.last_sync_ms = self.now_ms();
         Ok(())
     }
 
     /// Read back every durable record: snapshot first, then the sealed
     /// segment a crashed snapshot may have left behind, then the live
     /// segment. A torn tail anywhere yields the longest valid prefix; the
-    /// live segment is additionally truncated in place so subsequent
-    /// appends extend a clean file.
+    /// two log segments are additionally truncated in place, so whatever
+    /// is appended next — a record to the live log, the live log to
+    /// `wal.old` by a rotation — extends a clean file.
     pub fn replay(&self) -> io::Result<Replay> {
         let mut span = ofmf_obs::enter_span("ofmf.wal.replay");
         span.force_sample();
         let _guard = self.snap.lock();
         let mut records = Vec::new();
-        let mut torn = 0u64;
-        torn += self.read_segment(&self.snapshot_path(), false, &mut records)?;
-        torn += self.read_segment(&self.old_path(), false, &mut records)?;
-        torn += self.read_segment(&self.log_path(), true, &mut records)?;
+        let torn_snapshot = self.read_segment(&self.snapshot_path(), false, &mut records)?;
+        let torn_old = self.read_segment(&self.old_path(), true, &mut records)?;
+        let torn_live = self.read_segment(&self.log_path(), true, &mut records)?;
+        if let Some(valid_len) = torn_live {
+            self.inner.lock().log_bytes = valid_len;
+        }
+        let torn = [torn_snapshot, torn_old, torn_live].iter().flatten().count() as u64;
         self.replayed.add(records.len() as u64);
         span.annotate("records", records.len().to_string());
         if torn > 0 {
@@ -341,32 +406,31 @@ impl Wal {
         })
     }
 
-    /// Decode one segment file into `out`. Returns 1 if a torn tail was
-    /// dropped (and, for the live segment, truncated on disk), else 0.
-    fn read_segment(&self, path: &Path, is_live: bool, out: &mut Vec<WalRecord>) -> io::Result<u64> {
+    /// Decode one segment file into `out`. When a torn tail was dropped,
+    /// returns the length of the valid prefix before it (a log segment is
+    /// also cut to that length on disk).
+    fn read_segment(&self, path: &Path, is_log: bool, out: &mut Vec<WalRecord>) -> io::Result<Option<u64>> {
         // ofmf-lint: allow(no-blocking-while-locked, "replay reads segments under the snap mutex to exclude a concurrent snapshot; runs before appenders exist")
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
         let (decoded, valid_len) = decode_records(&bytes);
         let torn = valid_len < bytes.len();
         if torn {
             self.torn_tail.inc();
-            if is_live {
-                let mut inner = self.inner.lock();
+            if is_log {
                 #[cfg(feature = "lockcheck")]
                 parking_lot::blocking_op("wal.file.truncate");
                 let f = OpenOptions::new().write(true).open(path)?; // ofmf-lint: allow(no-blocking-while-locked, "torn-tail truncation during replay, before any concurrent appender exists")
                 f.set_len(valid_len as u64)?;
                 // ofmf-wal: policy — persist the tail truncation before serving new appends
                 f.sync_all()?; // ofmf-lint: allow(no-blocking-while-locked, "persist the tail truncation before serving new appends")
-                inner.log_bytes = valid_len as u64;
             }
         }
         out.extend(decoded);
-        Ok(u64::from(torn))
+        Ok(torn.then_some(valid_len as u64))
     }
 }
 
@@ -463,7 +527,10 @@ mod tests {
             wal.append(&mark(i)).expect("append");
         }
         let n = wal
-            .snapshot_with(|| vec![WalRecord::EtagFloor { seq: 77 }])
+            .snapshot_with(|out| {
+                out.push(&WalRecord::EtagFloor { seq: 77 });
+                Ok(())
+            })
             .expect("snapshot");
         assert_eq!(n, 1);
         wal.append(&mark(100)).expect("append post-snapshot");
@@ -493,6 +560,27 @@ mod tests {
     }
 
     #[test]
+    fn second_rotation_extends_the_sealed_segment() {
+        let dir = tmpdir("double-rotate");
+        let wal = Wal::open(&dir, FsyncPolicy::Always).expect("open");
+        wal.append(&mark(1)).expect("append");
+        wal.rotate_log().expect("rotate; the snapshot never publishes");
+        wal.append(&mark(2)).expect("append");
+        drop(wal);
+        // The next snapshot's rotation finds wal.old still there, while
+        // `snapshot.bin` still predates mark(1): it must keep it.
+        let wal = Wal::open(&dir, FsyncPolicy::Always).expect("reopen");
+        wal.rotate_log().expect("second rotate");
+        assert_eq!(wal.log_bytes(), 0, "the live segment moved into wal.old");
+        wal.append(&mark(3)).expect("append");
+        drop(wal);
+        let wal = Wal::open(&dir, FsyncPolicy::Always).expect("reopen");
+        let replay = wal.replay().expect("replay");
+        assert_eq!(replay.records, vec![mark(1), mark(2), mark(3)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn undecodable_payload_counts_as_torn() {
         let dir = tmpdir("badjson");
         let wal = Wal::open(&dir, FsyncPolicy::Always).expect("open");
@@ -516,7 +604,11 @@ mod tests {
     fn fsync_policy_parse() {
         assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
         assert_eq!(FsyncPolicy::parse("off"), Some(FsyncPolicy::Off));
-        assert_eq!(FsyncPolicy::parse("batch"), Some(FsyncPolicy::Batch(25)));
+        assert_eq!(
+            FsyncPolicy::parse("batch"),
+            Some(FsyncPolicy::Batch(5)),
+            "the daemon default"
+        );
         assert_eq!(FsyncPolicy::parse("batch:10"), Some(FsyncPolicy::Batch(10)));
         assert_eq!(FsyncPolicy::parse("batch:x"), None);
         assert_eq!(FsyncPolicy::parse("sometimes"), None);

@@ -7,6 +7,7 @@
 //! below the Redfish data model and must not depend on it.
 
 use serde_json::{Map, Number, Value};
+use std::fmt::Write as _;
 
 /// One durable control-plane mutation (or snapshot install record).
 ///
@@ -190,22 +191,86 @@ pub enum WalRecord {
     },
 }
 
-fn s(v: &str) -> Value {
-    Value::String(v.to_string())
+/// One field of a record's on-disk object, borrowed from the record (or,
+/// for a streamed snapshot install, from the live tree).
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Str(&'a str),
+    U64(u64),
+    Bool(bool),
+    Strs(&'a [String]),
+    Json(&'a Value),
 }
 
-fn n(v: u64) -> Value {
-    Value::Number(Number::from_u64(v))
+impl Field<'_> {
+    fn to_value(self) -> Value {
+        match self {
+            Field::Str(v) => Value::String(v.to_string()),
+            Field::U64(v) => Value::Number(Number::from_u64(v)),
+            Field::Bool(v) => Value::Bool(v),
+            Field::Strs(vs) => Value::Array(vs.iter().map(|v| Value::String(v.clone())).collect()),
+            Field::Json(v) => v.clone(),
+        }
+    }
+
+    /// Append the compact JSON text `serde_json` prints for [`Field::to_value`].
+    fn write_json(self, out: &mut String) {
+        match self {
+            Field::Str(v) => serde_json::write_escaped(v, out),
+            // Writing into a `String` cannot fail.
+            Field::U64(v) => drop(write!(out, "{v}")),
+            Field::Bool(v) => out.push_str(if v { "true" } else { "false" }),
+            Field::Strs(vs) => {
+                out.push('[');
+                for (i, v) in vs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    serde_json::write_escaped(v, out);
+                }
+                out.push(']');
+            }
+            Field::Json(v) => drop(write!(out, "{v}")),
+        }
+    }
 }
 
-fn strings(vs: &[String]) -> Value {
-    Value::Array(vs.iter().map(|v| s(v)).collect())
+/// The `"k"` discriminant of [`WalRecord::InstallResource`].
+const INSTALL: &str = "install";
+
+/// The fields of an `InstallResource`, in on-disk order, from borrowed
+/// parts: a streamed snapshot encodes them straight off the live tree.
+fn install_fields<'a>(
+    id: &'a str,
+    body: &'a Value,
+    etag: u64,
+    is_collection: bool,
+    put: &mut dyn FnMut(&'static str, Field<'a>),
+) {
+    put("id", Field::Str(id));
+    put("body", Field::Json(body));
+    put("etag", Field::U64(etag));
+    put("coll", Field::Bool(is_collection));
 }
 
-fn obj(kind: &str) -> Map {
-    let mut m = Map::new();
-    m.insert("k".to_string(), s(kind));
-    m
+/// Append the on-disk JSON object of kind `kind` whose fields `fields`
+/// yields, in the order it yields them.
+fn write_object<'a>(kind: &str, out: &mut String, fields: impl FnOnce(&mut dyn FnMut(&'static str, Field<'a>))) {
+    out.push_str("{\"k\":");
+    serde_json::write_escaped(kind, out);
+    fields(&mut |key, field| {
+        out.push(',');
+        serde_json::write_escaped(key, out);
+        out.push(':');
+        field.write_json(out);
+    });
+    out.push('}');
+}
+
+/// Append the on-disk form of an `InstallResource` built from borrowed
+/// parts: the bytes [`WalRecord::encode`] gives the owned record.
+pub(crate) fn encode_install(id: &str, body: &Value, etag: u64, is_collection: bool, out: &mut String) {
+    write_object(INSTALL, out, |put| install_fields(id, body, etag, is_collection, put));
 }
 
 fn get_str(m: &Map, key: &str) -> Option<String> {
@@ -242,7 +307,7 @@ impl WalRecord {
             WalRecord::Replace { .. } => "replace",
             WalRecord::Delete { .. } => "delete",
             WalRecord::DeleteSubtree { .. } => "delete_subtree",
-            WalRecord::InstallResource { .. } => "install",
+            WalRecord::InstallResource { .. } => INSTALL,
             WalRecord::EtagFloor { .. } => "etag_floor",
             WalRecord::ClockMark { .. } => "clock_mark",
             WalRecord::Subscribe { .. } => "subscribe",
@@ -262,9 +327,10 @@ impl WalRecord {
         }
     }
 
-    /// Encode as the on-disk JSON object.
-    pub fn to_value(&self) -> Value {
-        let mut m = obj(self.kind());
+    /// The record's fields in on-disk order, borrowed: the one table both
+    /// [`WalRecord::to_value`] and [`WalRecord::encode`] read.
+    fn fields<'a>(&'a self, put: &mut dyn FnMut(&'static str, Field<'a>)) {
+        use Field::{Bool, Json, Str, Strs, U64};
         match self {
             WalRecord::Create {
                 id,
@@ -273,34 +339,28 @@ impl WalRecord {
                 is_collection,
                 parent_etag,
             } => {
-                m.insert("id".to_string(), s(id));
-                m.insert("body".to_string(), body.clone());
-                m.insert("etag".to_string(), n(*etag));
-                m.insert("coll".to_string(), Value::Bool(*is_collection));
+                put("id", Str(id));
+                put("body", Json(body));
+                put("etag", U64(*etag));
+                put("coll", Bool(*is_collection));
                 if let Some(p) = parent_etag {
-                    m.insert("parent_etag".to_string(), n(*p));
+                    put("parent_etag", U64(*p));
                 }
             }
             WalRecord::Patch { id, delta, etag } => {
-                m.insert("id".to_string(), s(id));
-                m.insert("delta".to_string(), delta.clone());
-                m.insert("etag".to_string(), n(*etag));
+                put("id", Str(id));
+                put("delta", Json(delta));
+                put("etag", U64(*etag));
             }
             WalRecord::Replace { id, body, etag } => {
-                m.insert("id".to_string(), s(id));
-                m.insert("body".to_string(), body.clone());
-                m.insert("etag".to_string(), n(*etag));
+                put("id", Str(id));
+                put("body", Json(body));
+                put("etag", U64(*etag));
             }
-            WalRecord::Delete { id, parent_etag } => {
-                m.insert("id".to_string(), s(id));
+            WalRecord::Delete { id, parent_etag } | WalRecord::DeleteSubtree { id, parent_etag } => {
+                put("id", Str(id));
                 if let Some(p) = parent_etag {
-                    m.insert("parent_etag".to_string(), n(*p));
-                }
-            }
-            WalRecord::DeleteSubtree { id, parent_etag } => {
-                m.insert("id".to_string(), s(id));
-                if let Some(p) = parent_etag {
-                    m.insert("parent_etag".to_string(), n(*p));
+                    put("parent_etag", U64(*p));
                 }
             }
             WalRecord::InstallResource {
@@ -308,94 +368,90 @@ impl WalRecord {
                 body,
                 etag,
                 is_collection,
-            } => {
-                m.insert("id".to_string(), s(id));
-                m.insert("body".to_string(), body.clone());
-                m.insert("etag".to_string(), n(*etag));
-                m.insert("coll".to_string(), Value::Bool(*is_collection));
-            }
-            WalRecord::EtagFloor { seq } => {
-                m.insert("seq".to_string(), n(*seq));
-            }
-            WalRecord::ClockMark { now_ms } => {
-                m.insert("now_ms".to_string(), n(*now_ms));
-            }
+            } => install_fields(id, body, *etag, *is_collection, put),
+            WalRecord::EtagFloor { seq } => put("seq", U64(*seq)),
+            WalRecord::ClockMark { now_ms } => put("now_ms", U64(*now_ms)),
             WalRecord::Subscribe {
                 id,
                 destination,
                 event_types,
                 origins,
             } => {
-                m.insert("id".to_string(), s(id));
-                m.insert("dest".to_string(), s(destination));
-                m.insert("types".to_string(), strings(event_types));
-                m.insert("origins".to_string(), strings(origins));
+                put("id", Str(id));
+                put("dest", Str(destination));
+                put("types", Strs(event_types));
+                put("origins", Strs(origins));
             }
-            WalRecord::Unsubscribe { id } => {
-                m.insert("id".to_string(), s(id));
-            }
+            WalRecord::Unsubscribe { id } => put("id", Str(id)),
             WalRecord::SessionLogin {
                 token,
                 session_id,
                 user,
                 last_used_ms,
             } => {
-                m.insert("token".to_string(), s(token));
-                m.insert("sid".to_string(), s(session_id));
-                m.insert("user".to_string(), s(user));
-                m.insert("used_ms".to_string(), n(*last_used_ms));
+                put("token", Str(token));
+                put("sid", Str(session_id));
+                put("user", Str(user));
+                put("used_ms", U64(*last_used_ms));
             }
             WalRecord::SessionTouch { token, last_used_ms } => {
-                m.insert("token".to_string(), s(token));
-                m.insert("used_ms".to_string(), n(*last_used_ms));
+                put("token", Str(token));
+                put("used_ms", U64(*last_used_ms));
             }
-            WalRecord::SessionEnd { token } => {
-                m.insert("token".to_string(), s(token));
-            }
+            WalRecord::SessionEnd { token } => put("token", Str(token)),
             WalRecord::Teardown { fabric, op } => {
-                m.insert("fabric".to_string(), s(fabric));
-                m.insert("op".to_string(), op.clone());
+                put("fabric", Str(fabric));
+                put("op", Json(op));
             }
-            WalRecord::TeardownDrained { fabric } => {
-                m.insert("fabric".to_string(), s(fabric));
-            }
+            WalRecord::TeardownDrained { fabric } => put("fabric", Str(fabric)),
             WalRecord::ComposeIntent {
                 system,
                 node,
                 request,
                 planned,
             } => {
-                m.insert("system".to_string(), s(system));
-                m.insert("node".to_string(), s(node));
-                m.insert("request".to_string(), request.clone());
-                m.insert("planned".to_string(), planned.clone());
+                put("system", Str(system));
+                put("node", Str(node));
+                put("request", Json(request));
+                put("planned", Json(planned));
             }
-            WalRecord::BindDone { system, binding } => {
-                m.insert("system".to_string(), s(system));
-                m.insert("binding".to_string(), binding.clone());
+            WalRecord::BindDone { system, binding } | WalRecord::BindAdded { system, binding } => {
+                put("system", Str(system));
+                put("binding", Json(binding));
             }
             WalRecord::ComposeCommit { system }
             | WalRecord::ComposeAbort { system }
-            | WalRecord::Decompose { system } => {
-                m.insert("system".to_string(), s(system));
-            }
-            WalRecord::BindAdded { system, binding } => {
-                m.insert("system".to_string(), s(system));
-                m.insert("binding".to_string(), binding.clone());
-            }
+            | WalRecord::Decompose { system } => put("system", Str(system)),
             WalRecord::ComposeLive {
                 system,
                 node,
                 request,
                 bindings,
             } => {
-                m.insert("system".to_string(), s(system));
-                m.insert("node".to_string(), s(node));
-                m.insert("request".to_string(), request.clone());
-                m.insert("bindings".to_string(), bindings.clone());
+                put("system", Str(system));
+                put("node", Str(node));
+                put("request", Json(request));
+                put("bindings", Json(bindings));
             }
         }
+    }
+
+    /// Encode as the on-disk JSON object (decode tests and tools; the
+    /// journal itself writes [`WalRecord::encode`]'s bytes).
+    pub fn to_value(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("k".to_string(), Value::String(self.kind().to_string()));
+        self.fields(&mut |key, field| {
+            m.insert(key.to_string(), field.to_value());
+        });
         Value::Object(m)
+    }
+
+    /// Append the on-disk JSON text — byte for byte what `serde_json`
+    /// prints for [`WalRecord::to_value`] — without building that value:
+    /// bodies are serialised from where they are, not cloned first.
+    pub(crate) fn encode(&self, out: &mut String) {
+        write_object(self.kind(), out, |put| self.fields(put));
     }
 
     /// Decode from the on-disk JSON object. `None` on any structural
@@ -514,7 +570,22 @@ mod tests {
         // And through the serializer, as the file does it.
         let text = serde_json::to_string(&v).expect("serialize");
         let parsed: Value = serde_json::from_str(&text).expect("parse");
-        assert_eq!(WalRecord::from_value(&parsed), Some(r));
+        assert_eq!(WalRecord::from_value(&parsed), Some(r.clone()));
+        // The journal's direct encoder writes those same bytes.
+        let mut encoded = String::new();
+        r.encode(&mut encoded);
+        assert_eq!(encoded, text, "encode == to_vec(to_value) for {}", r.kind());
+        if let WalRecord::InstallResource {
+            id,
+            body,
+            etag,
+            is_collection,
+        } = &r
+        {
+            let mut borrowed = String::new();
+            encode_install(id, body, *etag, *is_collection, &mut borrowed);
+            assert_eq!(borrowed, text, "borrowed install == owned install");
+        }
     }
 
     #[test]
@@ -557,12 +628,19 @@ mod tests {
             etag: 1,
             is_collection: false,
         });
+        // Escapes, non-ASCII and every scalar kind go through the same printer.
+        roundtrip(WalRecord::InstallResource {
+            id: "/redfish/v1/Chassis/a\"b\\c".to_string(),
+            body: json!({"Name": "tab\there \u{1} \u{e9}\n", "F": 1.5, "I": -3, "N": null, "A": [true, {"x": []}]}),
+            etag: u64::MAX,
+            is_collection: true,
+        });
         roundtrip(WalRecord::EtagFloor { seq: 1000 });
         roundtrip(WalRecord::ClockMark { now_ms: 123456 });
         roundtrip(WalRecord::Subscribe {
             id: "1".to_string(),
-            destination: "http://sink/events".to_string(),
-            event_types: vec!["Alert".to_string()],
+            destination: "http://sink/events?q=\"a\\b\"".to_string(),
+            event_types: vec!["Alert".to_string(), "StatusChange".to_string()],
             origins: vec!["/redfish/v1/Fabrics".to_string()],
         });
         roundtrip(WalRecord::Unsubscribe { id: "1".to_string() });

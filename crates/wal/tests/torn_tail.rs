@@ -150,3 +150,55 @@ fn appends_after_torn_boot_extend_the_recovered_prefix() {
     assert_eq!(replay.records[2], record(77));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn torn_tail_inside_a_carried_over_segment_recovers_the_prefix() {
+    let _turn = TORN_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, _, _) = build_log("carried", 3);
+    // A snapshot that fails after its rotation leaves the sealed segment
+    // in wal.old; the next rotation carries the live segment over into it.
+    let fail_snapshot = |wal: &Wal| {
+        let failed = wal.snapshot_with(|_| Err(std::io::Error::other("no space left")));
+        assert!(failed.is_err());
+    };
+    let wal = Wal::open(&dir, FsyncPolicy::Always).expect("open");
+    fail_snapshot(&wal); // wal.old = records 0..3
+    wal.append(&record(3)).expect("append");
+    wal.append(&record(4)).expect("append");
+    fail_snapshot(&wal); // wal.old = records 0..5, two of them carried over
+    wal.append(&record(5)).expect("append");
+    drop(wal);
+
+    let old = dir.join("wal.old");
+    let bytes = std::fs::read(&old).expect("read old");
+    let (frames, valid) = ofmf_wal::scan_frames(&bytes);
+    assert_eq!((frames.len(), valid), (5, bytes.len()));
+    let last_start = frames[4].offset;
+    let survivors: Vec<WalRecord> = [0, 1, 2, 3, 5].into_iter().map(record).collect();
+    for cut in last_start + 1..bytes.len() {
+        std::fs::write(&old, &bytes[..cut]).expect("tear");
+        let replay = Wal::open(&dir, FsyncPolicy::Always)
+            .expect("boot must succeed")
+            .replay()
+            .expect("replay must succeed");
+        assert_eq!(replay.torn_tails, 1, "cut at {cut}");
+        assert_eq!(
+            replay.records, survivors,
+            "cut at {cut}: old prefix, then the live segment"
+        );
+    }
+    // Replay cut the tear off on disk, so the next rotation extends a clean
+    // wal.old: what it carries over stays reachable.
+    let wal = Wal::open(&dir, FsyncPolicy::Always).expect("reopen");
+    fail_snapshot(&wal);
+    wal.append(&record(6)).expect("append");
+    drop(wal);
+    let replay = Wal::open(&dir, FsyncPolicy::Always)
+        .expect("reopen")
+        .replay()
+        .expect("replay");
+    assert_eq!(replay.torn_tails, 0);
+    let expected: Vec<WalRecord> = [0, 1, 2, 3, 5, 6].into_iter().map(record).collect();
+    assert_eq!(replay.records, expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -56,7 +56,7 @@ fn parse_args() -> Result<Config, String> {
         max_conns: 4096,
         backend: Backend::Epoll,
         wal_dir: None,
-        fsync: FsyncPolicy::Batch(5),
+        fsync: FsyncPolicy::DEFAULT,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {

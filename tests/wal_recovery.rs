@@ -1,12 +1,16 @@
 //! End-to-end durability: a full OFMF stack journals every control-plane
 //! mutation, writes a compacted snapshot, hard-stops, and a fresh process
 //! resumes — tree, sessions, subscriptions, clock baseline and live
-//! compositions all where the previous process left them.
+//! compositions all where the previous process left them. Reads are the
+//! exception that proves the rule: an authenticated GET journals nothing,
+//! and what a crash costs a busy session's idle timer is bounded.
 
 use composer::{Composer, CompositionRequest, Strategy};
 use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
 use ofmf_core::{Agent, Ofmf};
-use ofmf_wal::{FsyncPolicy, Wal};
+use ofmf_rest::http::{HttpVersion, Method, Request};
+use ofmf_rest::Router;
+use ofmf_wal::{FsyncPolicy, Wal, WalRecord};
 use redfish_model::odata::ODataId;
 use redfish_model::resources::events::EventType;
 use serde_json::json;
@@ -266,5 +270,127 @@ fn snapshot_compacts_the_live_log() {
         .expect("doc")
         .body;
     assert_eq!(body["Oem"]["OFMF"]["Churn"], 49, "last write wins through the snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The read path is the monitoring path: with auth on, 10 000 GETs over a
+/// second of service time refresh the session's timer in memory and leave
+/// the journal as it was.
+#[test]
+fn authenticated_reads_do_not_grow_the_journal() {
+    let dir = fresh_dir("read-path");
+    let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Off).expect("open"));
+    let ofmf = Ofmf::with_wal("ofmf-reads", credentials(), 7005, Arc::clone(&wal)).expect("boot");
+    let router = Router::new(Arc::clone(&ofmf), true);
+    let request = |method, path: &str, token: &str, body: &str| Request {
+        method,
+        path: path.to_string(),
+        query: None,
+        headers: [("x-auth-token".to_string(), token.to_string())].into(),
+        body: body.as_bytes().to_vec(),
+        version: HttpVersion::Http11,
+    };
+    let login = router.handle(&request(
+        Method::Post,
+        "/redfish/v1/SessionService/Sessions",
+        "",
+        r#"{"UserName":"admin","Password":"hunter2"}"#,
+    ));
+    assert_eq!(login.status, 201);
+    let token = &login
+        .headers
+        .iter()
+        .find(|(k, _)| k == "X-Auth-Token")
+        .expect("token")
+        .1;
+    assert_eq!(
+        router
+            .handle(&request(Method::Get, "/redfish/v1/Systems", "", ""))
+            .status,
+        401
+    );
+
+    let journaled = wal.log_bytes();
+    let t0 = ofmf.clock.now_ms();
+    let paths = [
+        "/redfish/v1/Systems",
+        "/redfish/v1/Chassis",
+        "/redfish/v1/SessionService",
+    ];
+    for i in 0..10_000 {
+        if i % 10 == 0 {
+            ofmf.clock.advance_ms(1);
+        }
+        let resp = router.handle(&request(Method::Get, paths[i % paths.len()], token, ""));
+        assert_eq!(resp.status, 200);
+    }
+    // Every frame appended grows this: none was. (`ofmf.wal.appends.total`
+    // is one counter for the whole test process, so it cannot say.)
+    assert_eq!(wal.log_bytes(), journaled, "reads cost no writes");
+    // The timer moved all the same: a snapshot would store the last read.
+    let timers: Vec<u64> = ofmf
+        .sessions
+        .snapshot_records()
+        .iter()
+        .map(|r| match r {
+            WalRecord::SessionLogin { last_used_ms, .. } => *last_used_ms,
+            other => panic!("not a session record: {other:?}"),
+        })
+        .collect();
+    assert_eq!(timers, vec![t0 + 1000]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a crash costs a busy session: its idle timer comes back at the last
+/// journaled touch — never later than the pre-crash value (the session cannot
+/// outlive its deadline), and less than one granule (`timeout / 16`) earlier.
+#[test]
+fn restored_session_deadline_is_within_one_granule() {
+    let dir = fresh_dir("session-granule");
+    let last_used = |ofmf: &Ofmf| match ofmf.sessions.snapshot_records().as_slice() {
+        [WalRecord::SessionLogin { last_used_ms, .. }] => *last_used_ms,
+        other => panic!("exactly one session: {other:?}"),
+    };
+    let (token, timeout_ms, used_before, journaled_touches) = {
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Always).expect("open"));
+        let ofmf = Ofmf::with_wal("ofmf-granule", credentials(), 7006, Arc::clone(&wal)).expect("boot");
+        let timeout_ms = ofmf.sessions.timeout_ms();
+        let (token, _) = ofmf.sessions.login(&ofmf.registry, "admin", "hunter2").expect("login");
+        // A request every 160th of the timeout, for 2.55 granules: the poll
+        // loop stamps the clock, nothing snapshots, then the process dies.
+        for _ in 0..408 {
+            ofmf.clock.advance_ms(timeout_ms / 2560);
+            ofmf.sessions.authenticate(&ofmf.registry, &token).expect("live");
+            ofmf.poll();
+        }
+        let touches = wal.replay().expect("read back").records;
+        let touches = touches.iter().filter(|r| matches!(r, WalRecord::SessionTouch { .. }));
+        (token, timeout_ms, last_used(&ofmf), touches.count())
+    };
+    assert_eq!(journaled_touches, 2, "one per granule crossed, not one per request");
+
+    let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Always).expect("reopen"));
+    let ofmf = Ofmf::with_wal("ofmf-granule", credentials(), 7006, wal).expect("recovery boot");
+    assert!(ofmf.was_recovered());
+    let used_after = last_used(&ofmf);
+    assert!(
+        used_after <= used_before,
+        "never outlives: {used_after} > {used_before}"
+    );
+    assert!(
+        used_before - used_after < timeout_ms / 16,
+        "under-lives by less than a granule: {used_before} - {used_after}"
+    );
+    // The deadline is the restored timer's, on the resumed clock — not
+    // `timeout_ms` after the restart.
+    assert!(
+        ofmf.clock.now_ms() > used_after,
+        "the clock resumed past the last touch"
+    );
+    ofmf.clock.advance_ms(used_after + timeout_ms - ofmf.clock.now_ms());
+    assert_eq!(ofmf.sessions.sweep_expired(&ofmf.registry), 0, "alive at its deadline");
+    ofmf.clock.advance_ms(1);
+    assert_eq!(ofmf.sessions.sweep_expired(&ofmf.registry), 1, "reaped 1 ms past it");
+    assert!(ofmf.sessions.authenticate(&ofmf.registry, &token).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
