@@ -203,12 +203,12 @@ impl Ofmf {
         let mut recovered_compose: Vec<WalRecord> = Vec::new();
         let mut recovered_teardowns: HashMap<String, Vec<AgentOp>> = HashMap::new();
 
-        let journal = if let Some(records) = &replayed {
+        let recovered = replayed.is_some();
+        let journal = if let Some(records) = replayed {
             // ---- restored boot: each service folds its own records; the
             // clock, the teardown journal and the composer's are folded here
-            redfish_model::replay::apply_all(&registry, records);
             let mut max_ms = 0u64;
-            for rec in records {
+            for rec in &records {
                 match rec {
                     WalRecord::ClockMark { now_ms: ms }
                     | WalRecord::SessionLogin { last_used_ms: ms, .. }
@@ -221,23 +221,33 @@ impl Ofmf {
                     WalRecord::TeardownDrained { fabric } => {
                         recovered_teardowns.remove(fabric);
                     }
-                    WalRecord::ComposeIntent { .. }
-                    | WalRecord::BindDone { .. }
-                    | WalRecord::ComposeCommit { .. }
-                    | WalRecord::ComposeAbort { .. }
-                    | WalRecord::Decompose { .. }
-                    | WalRecord::BindAdded { .. }
-                    | WalRecord::ComposeLive { .. } => recovered_compose.push(rec.clone()),
                     _ => {}
                 }
             }
             // Resume the pre-crash timeline before any service reads the
             // clock, so restored session deadlines stay meaningful.
             clock.resume_from(max_ms);
-            sessions.replay(records);
+            sessions.replay(&records);
             // The internal event-log subscription is created on every fresh
             // boot, so it is in the journal unless that was cut short.
-            events.replay(records, EVENT_LOG_TAP)
+            let journal = events.replay(&records, EVENT_LOG_TAP);
+            // Last, by value: a registry record's body moves from the parsed
+            // frame into the tree, the composer's records to its recovery.
+            for rec in records {
+                match rec {
+                    WalRecord::ComposeIntent { .. }
+                    | WalRecord::BindDone { .. }
+                    | WalRecord::ComposeCommit { .. }
+                    | WalRecord::ComposeAbort { .. }
+                    | WalRecord::Decompose { .. }
+                    | WalRecord::BindAdded { .. }
+                    | WalRecord::ComposeLive { .. } => recovered_compose.push(rec),
+                    rec => {
+                        registry.apply_record(rec);
+                    }
+                }
+            }
+            journal
         } else {
             // ---- fresh boot: journaled from the very first create, so the
             // bootstrap itself is replayable ----
@@ -250,7 +260,6 @@ impl Ofmf {
             journal
         };
 
-        let recovered = replayed.is_some();
         let member_floor = if recovered { member_seq_floor(&registry) } else { 1 };
         let journal_floor = if recovered { journal_seq_floor(&registry) } else { 1 };
 

@@ -31,9 +31,13 @@
 //! the **wire-body cache** safe: the serialized bytes of `wire_body()` are
 //! memoized per resource keyed by ETag, and a cached entry is served only
 //! when its ETag equals the ETag read under the shard lock. Hot GETs
-//! (service root, collections, telemetry consumers) skip the deep clone and
-//! re-serialization entirely; any mutation allocates a new ETag and thereby
-//! invalidates the stale bytes.
+//! (service root, collections, telemetry consumers) skip serialization
+//! entirely; any mutation allocates a new ETag and thereby invalidates the
+//! stale bytes. A miss clones nothing either: the bytes are written straight
+//! from the stored body under the shard read lock
+//! ([`StoredResource::wire_body`] describes the document and is what tests
+//! hold the writer to). The REST layer answers PATCH and POST from the same
+//! call, so a write's reply fills the cache for the GET that follows it.
 
 use crate::error::{RedfishError, RedfishResult};
 use crate::odata::{ETag, ODataId};
@@ -56,6 +60,10 @@ const STRIPES: usize = 16;
 /// flushed wholesale (epoch-style) — simple, bounded, and hot entries are
 /// re-admitted on the next read.
 const WIRE_CACHE_CAP: usize = 4096;
+
+/// Buffer for a wire body never serialized before; one that was starts
+/// from its previous length.
+const WIRE_BODY_GUESS: usize = 512;
 
 /// Resources a streamed snapshot encodes per stripe-lock hold: the unit of
 /// its lock hold time and of its buffered memory.
@@ -85,6 +93,48 @@ impl StoredResource {
             obj.insert("@odata.etag".to_string(), Value::String(self.etag.to_header()));
         }
         b
+    }
+
+    /// Append the bytes `serde_json::to_vec(&self.wire_body())` gives,
+    /// written from the borrowed body: `@odata.etag` takes the place of a
+    /// stored one and is appended otherwise. With `inline`, the value of
+    /// `Members` is those resources' wire forms — the `$expand` answer — in
+    /// place, or after the ETag in a body that holds no `Members`.
+    fn write_wire(&self, out: &mut Vec<u8>, inline: Option<&[&StoredResource]>) -> serde_json::Result<()> {
+        let Some(obj) = self.body.as_object() else {
+            return serde_json::to_writer(out, &self.body);
+        };
+        // The two members written by key get a placeholder value when absent.
+        let absent = |key: &'static str| (!obj.contains_key(key)).then_some((key, &Value::Null));
+        let entries = obj
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .chain(absent("@odata.etag"))
+            .chain(inline.and(absent("Members")));
+        out.push(b'{');
+        for (i, (key, value)) in entries.enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            serde_json::to_writer(&mut *out, key)?;
+            out.push(b':');
+            match (key, inline) {
+                ("@odata.etag", _) => serde_json::to_writer(&mut *out, &self.etag.to_header())?,
+                ("Members", Some(members)) => {
+                    out.push(b'[');
+                    for (n, member) in members.iter().enumerate() {
+                        if n > 0 {
+                            out.push(b',');
+                        }
+                        member.write_wire(out, None)?;
+                    }
+                    out.push(b']');
+                }
+                _ => serde_json::to_writer(&mut *out, value)?,
+            }
+        }
+        out.push(b'}');
+        Ok(())
     }
 
     /// Add (`link`) or remove `id` in `Members` and refresh the count.
@@ -361,11 +411,11 @@ impl Registry {
     /// the ETags the live mutation allocated, and the allocator is raised
     /// past them so none is ever reused. The state transition is the one the
     /// live mutation ran, so a replayed tree equals the live one, ETags
-    /// included. Returns `false`, doing nothing, for records of other
-    /// subsystems.
-    pub fn apply_record(&self, rec: &WalRecord) -> bool {
+    /// included; the record's body becomes the stored one. Returns `false`,
+    /// doing nothing, for records of other subsystems.
+    pub fn apply_record(&self, rec: WalRecord) -> bool {
         use WalRecord::{Create, Delete, DeleteSubtree, EtagFloor, InstallResource, Patch, Replace};
-        let (id, pinned) = match rec {
+        let (id, pinned) = match &rec {
             Create {
                 id, etag, parent_etag, ..
             } => (id, (*etag).max(parent_etag.unwrap_or(0))),
@@ -379,7 +429,7 @@ impl Registry {
         };
         self.ensure_etag_floor(pinned.saturating_add(1));
         let id = ODataId::new(id.as_str());
-        self.settle(self.write_around(&id), &id, rec.clone());
+        self.settle(self.write_around(&id), &id, rec);
         true
     }
 
@@ -412,16 +462,20 @@ impl Registry {
         let t = shard.tree.read();
         let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
         let etag = node.etag;
-        if let Some((v, cached)) = shard.wire.read().get(id) {
-            if *v == etag.0 {
+        let capacity = match shard.wire.read().get(id) {
+            Some((v, cached)) if *v == etag.0 => {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((Arc::clone(cached), etag));
             }
-        }
+            // One member or ETag digit more than last time, at most.
+            Some((_, stale)) => stale.len() + 64,
+            None => WIRE_BODY_GUESS,
+        };
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let bytes: Arc<[u8]> = serde_json::to_vec(&node.wire_body())
-            .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?
-            .into();
+        let mut body = Vec::with_capacity(capacity);
+        node.write_wire(&mut body, None)
+            .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?;
+        let bytes: Arc<[u8]> = body.into();
         // Inserted while still holding the tree read lock: delete and
         // delete_subtree take the tree write lock before they uncache(),
         // so they cannot interleave between the existence check above
@@ -657,29 +711,27 @@ impl Registry {
         }
     }
 
-    /// Produce an expanded view of a collection: the collection body with
-    /// each member's body inlined (the `$expand` query option). Members may
-    /// live in any shard, so this takes a whole-tree read snapshot.
-    pub fn expand(&self, id: &ODataId) -> RedfishResult<Value> {
+    /// The expanded view of a collection as the bytes a GET returns: the
+    /// collection's wire body with each member's wire body inlined (the
+    /// `$expand` query option), written from the borrowed documents.
+    /// Members may live in any shard, so this takes a whole-tree read
+    /// snapshot.
+    pub fn expand(&self, id: &ODataId) -> RedfishResult<Vec<u8>> {
         let guards = self.read_all();
         let lookup = |rid: &ODataId| guards.get(stripe_of(rid)).and_then(|t| t.nodes.get(rid));
         let node = lookup(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
-        if !node.is_collection {
-            return Ok(node.wire_body());
-        }
-        let mut body = node.wire_body();
-        let mut expanded = Vec::new();
-        if let Some(members) = node.body["Members"].as_array() {
-            for m in members {
-                if let Some(mid) = m["@odata.id"].as_str() {
-                    if let Some(child) = lookup(&ODataId::new(mid)) {
-                        expanded.push(child.wire_body());
-                    }
-                }
-            }
-        }
-        body["Members"] = Value::Array(expanded);
-        Ok(body)
+        let members: Option<Vec<&StoredResource>> = node.is_collection.then(|| {
+            let listed = node.body.get("Members").and_then(Value::as_array);
+            listed
+                .into_iter()
+                .flatten()
+                .filter_map(|m| lookup(&ODataId::new(m.get("@odata.id")?.as_str()?)))
+                .collect()
+        });
+        let mut out = Vec::with_capacity(WIRE_BODY_GUESS * (1 + members.as_ref().map_or(0, Vec::len)));
+        node.write_wire(&mut out, members.as_deref())
+            .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?;
+        Ok(out)
     }
 
     /// Raise the ETag allocator so the next allocation is at least `floor`.
@@ -977,7 +1029,7 @@ mod tests {
         assert_eq!(body["Members@odata.count"], 1);
         assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
         // A replayed replace keeps them as well: its record need not carry them.
-        r.apply_record(&WalRecord::Replace {
+        r.apply_record(WalRecord::Replace {
             id: col.as_str().to_string(),
             body: json!({"Name": "Systems v4"}),
             etag: 80,
@@ -985,7 +1037,7 @@ mod tests {
         assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
         // A collection a journal installed without the array (snapshot
         // installs are applied verbatim) is an error, not a panic.
-        r.apply_record(&WalRecord::InstallResource {
+        r.apply_record(WalRecord::InstallResource {
             id: col.as_str().to_string(),
             body: json!({"Name": "Systems"}),
             etag: 90,
@@ -1014,7 +1066,7 @@ mod tests {
         let (r, col) = reg_with_collection();
         r.create(&col.child("cn01"), json!({"Name": "a"})).unwrap();
         r.create(&col.child("cn02"), json!({"Name": "b"})).unwrap();
-        let v = r.expand(&col).unwrap();
+        let v: Value = serde_json::from_slice(&r.expand(&col).unwrap()).unwrap();
         let members = v["Members"].as_array().unwrap();
         assert_eq!(members.len(), 2);
         assert_eq!(members[0]["Name"], "a");

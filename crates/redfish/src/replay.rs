@@ -9,15 +9,23 @@
 //! it makes every record idempotent (replaying a record twice, e.g. once
 //! from a snapshot and once from the live segment it overlaps, converges
 //! to the same state).
+//!
+//! The one replay entry is [`Registry::apply_record`], by value: boot
+//! routes each record it decoded either there or to the service that owns
+//! it, and the body moves from the parsed frame into the tree. What lives
+//! here is [`apply_all`], a helper for tests and benches, which hold on to
+//! the records they replay (to replay them twice, or a suffix of them) and
+//! so pay a clone per record that boot does not.
 
 use crate::registry::Registry;
 use ofmf_wal::WalRecord;
 
-/// Replay every registry-kind record of `records` in order; the ETag
-/// allocator resumes past the highest recorded value. Non-registry records
-/// are skipped. Returns how many records applied.
+/// Test/bench helper, not the boot path: replay every registry-kind record
+/// of `records` in order, cloning each into [`Registry::apply_record`]; the
+/// ETag allocator resumes past the highest recorded value. Non-registry
+/// records are skipped. Returns how many records applied.
 pub fn apply_all(reg: &Registry, records: &[WalRecord]) -> usize {
-    records.iter().filter(|rec| reg.apply_record(rec)).count()
+    records.iter().filter(|&rec| reg.apply_record(rec.clone())).count()
 }
 
 #[cfg(test)]

@@ -147,20 +147,23 @@ impl Router {
             Err(e) => return error_response(&e),
         };
         if opts.expand {
-            return match self.ofmf.registry.expand(path) {
-                Ok(body) => Response::json(200, &opts.apply(body)),
-                Err(e) => error_response(&e),
+            let bytes = match self.ofmf.registry.expand(path) {
+                Ok(bytes) => bytes,
+                Err(e) => return error_response(&e),
+            };
+            let rest = crate::query::QueryOptions { expand: false, ..opts };
+            if rest.is_noop() {
+                return Response::json_bytes(200, bytes);
+            }
+            // Rare: `$expand` beside `$select`/`$top`/`$skip` pages and
+            // projects the one expander's answer, parsed back.
+            return match serde_json::from_slice(&bytes) {
+                Ok(body) => Response::json(200, &rest.apply(body)),
+                Err(e) => error_response(&RedfishError::Internal(format!("expanded {path}: {e}"))),
             };
         }
         if opts.is_noop() {
-            // Hot path: pre-serialized bytes shared straight from the
-            // registry's ETag-keyed wire cache — no clone, no
-            // re-serialization; the event loop writes the `Arc<[u8]>`
-            // directly to the socket.
-            return match self.ofmf.get_raw(path) {
-                Ok((bytes, etag)) => Response::json_bytes(200, bytes).with_header("ETag", &etag.to_header()),
-                Err(e) => error_response(&e),
-            };
+            return self.current(path, false);
         }
         match self.ofmf.get(path) {
             Ok((body, etag)) => Response::json(200, &opts.apply(body)).with_header("ETag", &etag.to_header()),
@@ -168,10 +171,30 @@ impl Router {
         }
     }
 
+    /// The resource at `path` as it now stands: pre-serialized bytes shared
+    /// straight from the registry's ETag-keyed wire cache — no clone, no
+    /// re-serialization; the event loop writes the `Arc<[u8]>` directly to
+    /// the socket. A plain GET and the replies to PATCH and POST (`created`)
+    /// are all this one call, so a write's reply is serialized once and the
+    /// read-after-write GET behind it is a cache hit.
+    fn current(&self, path: &ODataId, created: bool) -> Response {
+        match self.ofmf.get_raw(path) {
+            Ok((bytes, etag)) => {
+                let resp = if created {
+                    Response::json_bytes(201, bytes).with_header("Location", path.as_str())
+                } else {
+                    Response::json_bytes(200, bytes)
+                };
+                resp.with_header("ETag", &etag.to_header())
+            }
+            Err(e) => error_response(&e),
+        }
+    }
+
     fn post(&self, req: &Request, path: &ODataId) -> Response {
-        let body: Value = match serde_json::from_slice(&req.body) {
+        let body = match parse_body(&req.body) {
             Ok(v) => v,
-            Err(e) => return error_response(&RedfishError::BadRequest(format!("invalid JSON body: {e}"))),
+            Err(e) => return error_response(&e),
         };
         let normalized = path.as_str().trim_end_matches('/');
         if normalized == top::SESSIONS {
@@ -188,15 +211,7 @@ impl Router {
                 ));
             };
             return match svc.compose(&body) {
-                Ok(rid) => {
-                    let (doc, etag) = match self.ofmf.get(&rid) {
-                        Ok(x) => x,
-                        Err(e) => return error_response(&e),
-                    };
-                    Response::json(201, &doc)
-                        .with_header("Location", rid.as_str())
-                        .with_header("ETag", &etag.to_header())
-                }
+                Ok(rid) => self.current(&rid, true),
                 Err(e) => error_response(&e),
             };
         }
@@ -213,33 +228,22 @@ impl Router {
             };
         }
         match self.ofmf.post(path, &body) {
-            Ok(rid) => {
-                let (doc, etag) = match self.ofmf.get(&rid) {
-                    Ok(x) => x,
-                    Err(e) => return error_response(&e),
-                };
-                Response::json(201, &doc)
-                    .with_header("Location", rid.as_str())
-                    .with_header("ETag", &etag.to_header())
-            }
+            Ok(rid) => self.current(&rid, true),
             Err(e) => error_response(&e),
         }
     }
 
     fn patch(&self, req: &Request, path: &ODataId) -> Response {
-        let body: Value = match serde_json::from_slice(&req.body) {
+        let body = match parse_body(&req.body) {
             Ok(v) => v,
-            Err(e) => return error_response(&RedfishError::BadRequest(format!("invalid JSON body: {e}"))),
+            Err(e) => return error_response(&e),
         };
         let if_match = req.header("if-match").and_then(ETag::parse_header);
         if req.header("if-match").is_some() && if_match.is_none() {
             return error_response(&RedfishError::BadRequest("unparseable If-Match".into()));
         }
         match self.ofmf.patch(path, &body, if_match) {
-            Ok(etag) => match self.ofmf.get(path) {
-                Ok((doc, _)) => Response::json(200, &doc).with_header("ETag", &etag.to_header()),
-                Err(e) => error_response(&e),
-            },
+            Ok(_) => self.current(path, false),
             Err(e) => error_response(&e),
         }
     }
@@ -379,6 +383,33 @@ impl Router {
         body.extend_from_slice(format!("],\"Count\":{}}}", batches.len()).as_bytes());
         Response::json_bytes(200, body)
     }
+}
+
+/// Deepest array/object nesting a request body may have. The parser follows
+/// 128 levels, and the service reads a stored body back inside one of its
+/// own wrappers — a journal or snapshot record (one level around it), an
+/// `$expand` answer (two) — so what is accepted stays well inside what can
+/// be read again: a frame that does not parse at boot counts as a torn
+/// tail, and the journal behind it is cut off.
+const MAX_BODY_DEPTH: usize = 64;
+
+/// A POST/PATCH body as a document, or the 400 that refuses it.
+fn parse_body(bytes: &[u8]) -> Result<Value, RedfishError> {
+    fn depth(v: &Value) -> usize {
+        match v {
+            Value::Array(a) => 1 + a.iter().map(depth).max().unwrap_or(0),
+            Value::Object(m) => 1 + m.values().map(depth).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+    let body: Value =
+        serde_json::from_slice(bytes).map_err(|e| RedfishError::BadRequest(format!("invalid JSON body: {e}")))?;
+    if depth(&body) > MAX_BODY_DEPTH {
+        return Err(RedfishError::BadRequest(format!(
+            "invalid JSON body: nesting deeper than {MAX_BODY_DEPTH}"
+        )));
+    }
+    Ok(body)
 }
 
 /// Normalize a request into a bounded route key for the flight recorder's

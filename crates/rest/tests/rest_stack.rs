@@ -1,8 +1,14 @@
 //! Full-stack tests: real sockets, real HTTP, live agents behind the OFMF.
 
+// The registry's test-side `$expand` reference, shared by path.
+#[path = "../../redfish/tests/wire_oracle/mod.rs"]
+mod wire_oracle;
+
 use ofmf_agents::flavors::{cxl_agent, RackShape};
 use ofmf_core::Ofmf;
+use ofmf_rest::query::QueryOptions;
 use ofmf_rest::{HttpClient, RestServer, Router};
+use redfish_model::odata::ODataId;
 use serde_json::json;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -330,5 +336,79 @@ fn unknown_route_is_a_404_and_counted() {
 
     assert!(c4xx.get() > s0, "404 must land in the 4xx status class");
     assert!(gets.get() > g0, "routed 404s still count as GET requests");
+    server.shutdown();
+}
+
+/// A write is answered with the bytes a GET of the resource now returns —
+/// serialized once, into the wire cache — so the read-after-write GET that
+/// typically follows is a cache hit, not a second serialization.
+#[test]
+fn write_replies_are_the_next_get_and_fill_the_wire_cache() {
+    let (server, mut c, ofmf) = boot(false, HashMap::new());
+    let stats = || ofmf.registry.wire_cache_stats();
+
+    let posted = c
+        .post(
+            "/redfish/v1/Chassis",
+            &json!({"Id": "raw-1", "Name": "read \"after\" write \u{e9}", "AssetTag": "t0"}),
+        )
+        .unwrap();
+    assert_eq!(posted.status, 201);
+    assert_eq!(posted.header("location"), Some("/redfish/v1/Chassis/raw-1"));
+    let (hits, misses) = stats();
+    let got = c.get("/redfish/v1/Chassis/raw-1").unwrap();
+    assert_eq!(got.status, 200);
+    assert_eq!(got.body, posted.body, "POST reply == the GET that follows");
+    assert_eq!(got.header("etag"), posted.header("etag"));
+    assert_eq!(stats(), (hits + 1, misses), "that GET is a wire-cache hit");
+
+    let patched = c
+        .patch("/redfish/v1/Chassis/raw-1", &json!({"AssetTag": "t1"}))
+        .unwrap();
+    assert_eq!(patched.status, 200);
+    assert_ne!(patched.body, posted.body);
+    let (hits, misses) = stats();
+    let got = c.get("/redfish/v1/Chassis/raw-1").unwrap();
+    assert_eq!(got.body, patched.body, "PATCH reply == the GET that follows");
+    assert_eq!(got.header("etag"), patched.header("etag"));
+    assert_eq!(stats(), (hits + 1, misses), "that GET is a wire-cache hit");
+
+    // And both are what the stored document's wire body prints to.
+    let stored = ofmf.registry.get(&ODataId::new("/redfish/v1/Chassis/raw-1")).unwrap();
+    assert_eq!(got.body, serde_json::to_vec(&stored.wire_body()).unwrap());
+    assert_eq!(got.json().unwrap()["AssetTag"], "t1");
+    server.shutdown();
+}
+
+/// One expander: `$expand` alone sends its bytes as they are; beside
+/// `$select` / `$top` / `$skip` the same answer is paged and projected.
+/// Either way the body is what the `Value`-built expansion printed to.
+#[test]
+fn expand_keeps_its_answer_alone_and_beside_other_options() {
+    let (server, mut c, ofmf) = boot(false, HashMap::new());
+    let systems = ODataId::new("/redfish/v1/Systems");
+    assert!(ofmf.registry.members(&systems).unwrap().len() >= 4);
+    for query in [
+        "$expand=.",
+        "$expand=*($levels=1)",
+        "$expand=.&$top=2&$skip=1",
+        "$skip=3&$expand=.",
+        "$expand=.&$select=Name,Members",
+        "$expand=.&$select=Name&$top=1",
+    ] {
+        let resp = c.get(&format!("{systems}?{query}")).unwrap();
+        assert_eq!(resp.status, 200, "{query}");
+        let want = QueryOptions::parse(query)
+            .unwrap()
+            .apply(wire_oracle::expansion(&ofmf.registry, &systems));
+        assert_eq!(
+            String::from_utf8_lossy(&resp.body),
+            serde_json::to_string(&want).unwrap(),
+            "{query}"
+        );
+    }
+    // A single resource expands to itself.
+    let one = c.get("/redfish/v1/Systems/cn00?$expand=.").unwrap();
+    assert_eq!(one.body, c.get("/redfish/v1/Systems/cn00").unwrap().body);
     server.shutdown();
 }

@@ -368,6 +368,69 @@ fn oversized_body_and_headers_get_specific_statuses() {
     }
 }
 
+/// Hostile JSON bodies are a 400, not the end of the daemon. 100 kB of `[`
+/// used to recurse once per byte and overflow the stack — an abort, which
+/// takes every connection with it — and a lone high surrogate used to
+/// panic the worker; a megabyte of string used to hold it for half a minute.
+#[test]
+fn hostile_json_bodies_are_refused_and_the_next_connection_is_served() {
+    fn request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+        let mut raw = format!(
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+    for backend in BACKENDS {
+        let server = boot(backend, 1, 4096);
+        let deep = "[".repeat(100_000);
+        let deep_object = "{\"a\":".repeat(20_000);
+        // Parses, but a journal frame or `$expand` wraps what is stored:
+        // bodies are taken to half the parser's depth, no further.
+        let too_deep = format!("{{\"Id\":\"d\",\"a\":{}1{}}}", "[".repeat(64), "]".repeat(64));
+        let long = format!("{{\"Id\":\"big\",\"Description\":\"{}\"}}", "x".repeat(1_000_000));
+        for (method, path, body) in [
+            ("POST", "/redfish/v1/Chassis", deep.as_str()),
+            ("PATCH", "/redfish/v1/Systems/cn00", deep.as_str()),
+            ("POST", "/redfish/v1/Chassis", deep_object.as_str()),
+            ("POST", "/redfish/v1/Chassis", too_deep.as_str()),
+            ("PATCH", "/redfish/v1/Systems/cn00", too_deep.as_str()),
+            ("PATCH", "/redfish/v1/Systems/cn00", r#"{"AssetTag":"\ud800\u0041"}"#),
+            ("POST", "/redfish/v1/Chassis", r#"{"Id":"x","Name":"\ud800\ud800"}"#),
+            ("POST", "/redfish/v1/Chassis", r#"{"Id":"x","Power":1e999}"#),
+        ] {
+            let mut w = Wire::connect(&server);
+            w.send(&request(method, path, body.as_bytes()));
+            let r = w.response();
+            assert_eq!(r.status, 400, "{backend:?} {method} {}…", &body[..body.len().min(24)]);
+            assert!(
+                r.body_text().contains("invalid JSON body"),
+                "{backend:?}: {}",
+                r.body_text()
+            );
+            // A fresh connection is served: the one worker is alive (and,
+            // on the thread pool, free again once this one is closed).
+            drop(w);
+            let mut w = Wire::connect(&server);
+            w.send(get("/redfish/v1").as_bytes());
+            assert_eq!(w.response().status, 200, "{backend:?} after {method}");
+        }
+        // A body at the size cap that *is* JSON is parsed promptly and stored.
+        let started = Instant::now();
+        let mut w = Wire::connect(&server);
+        w.send(&request("POST", "/redfish/v1/Chassis", long.as_bytes()));
+        assert_eq!(w.response().status, 201, "{backend:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{backend:?}: {:?}",
+            started.elapsed()
+        );
+        server.shutdown();
+    }
+}
+
 #[test]
 fn over_cap_connections_are_shed_with_503_retry_after() {
     let server = boot(Backend::Epoll, 1, 2);

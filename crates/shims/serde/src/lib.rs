@@ -8,23 +8,44 @@
 //! sibling `serde_derive` shim and honour the subset of `#[serde(...)]`
 //! attributes this repository uses: `rename`, `default`,
 //! `skip_serializing_if`, `flatten`, `transparent`.
+//!
+//! Each trait has a required tree-building method (what the derives emit)
+//! and a provided half that spares the tree where the type *is* the tree:
+//! [`Serialize::write_json`] is the by-reference half of
+//! [`Serialize::to_json`] — `Value` and `Map` print themselves from where
+//! they are instead of cloning first — and [`Deserialize::from_json_owned`]
+//! is the by-value half of [`Deserialize::from_json`] — `Value` hands the
+//! parsed tree back instead of copying it.
 
 pub mod value;
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::fmt;
 use value::{Map, Number, Value};
 
 /// Serialization: convert `self` into a JSON value tree.
 pub trait Serialize {
     /// Build the JSON representation of `self`.
     fn to_json(&self) -> Value;
+
+    /// Append the compact JSON text of `self`: what printing
+    /// [`Serialize::to_json`] gives, which is how the provided body does it.
+    /// Types that hold JSON already print it by reference.
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        value::write_compact(&self.to_json(), out)
+    }
 }
 
 /// Deserialization: rebuild `Self` from a JSON value tree.
 pub trait Deserialize: Sized {
     /// Parse `Self` out of `v`.
     fn from_json(v: &Value) -> Result<Self, DeError>;
+
+    /// [`Deserialize::from_json`] for a tree the caller is done with.
+    fn from_json_owned(v: Value) -> Result<Self, DeError> {
+        Self::from_json(&v)
+    }
 }
 
 /// Deserialization error: a human-readable description of the mismatch.
@@ -62,6 +83,10 @@ fn kind_of(v: &Value) -> &'static str {
 impl Serialize for Value {
     fn to_json(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        value::write_compact(self, out)
     }
 }
 
@@ -115,11 +140,19 @@ impl Serialize for String {
     fn to_json(&self) -> Value {
         Value::String(self.clone())
     }
+
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        value::write_escaped(self, out)
+    }
 }
 
 impl Serialize for str {
     fn to_json(&self) -> Value {
         Value::String(self.to_string())
+    }
+
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        value::write_escaped(self, out)
     }
 }
 
@@ -133,11 +166,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_json(&self) -> Value {
         (**self).to_json()
     }
+
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        (**self).write_json(out)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_json(&self) -> Value {
         (**self).to_json()
+    }
+
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        (**self).write_json(out)
     }
 }
 
@@ -223,6 +264,10 @@ impl Serialize for Map {
     fn to_json(&self) -> Value {
         Value::Object(self.clone())
     }
+
+    fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        value::write_map(self, out)
+    }
 }
 
 macro_rules! ser_tuple {
@@ -246,6 +291,10 @@ ser_tuple! {
 impl Deserialize for Value {
     fn from_json(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+
+    fn from_json_owned(v: Value) -> Result<Self, DeError> {
+        Ok(v)
     }
 }
 

@@ -115,20 +115,27 @@ impl PartialEq for Number {
     }
 }
 
-impl fmt::Display for Number {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Number {
+    /// Append the JSON text of the number.
+    fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match *self {
-            Number::PosInt(n) => write!(f, "{n}"),
-            Number::NegInt(n) => write!(f, "{n}"),
+            Number::PosInt(n) => write!(out, "{n}"),
+            Number::NegInt(n) => write!(out, "{n}"),
             Number::Float(x) => {
                 if x == x.trunc() && x.abs() < 1e15 {
                     // Keep a decimal point so the value re-parses as a float.
-                    write!(f, "{x:.1}")
+                    write!(out, "{x:.1}")
                 } else {
-                    write!(f, "{x}")
+                    write!(out, "{x}")
                 }
             }
         }
+    }
+}
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -588,62 +595,72 @@ impl<T: Index + ?Sized> Index for &T {
 impl fmt::Display for Value {
     /// Compact JSON rendering (matches `serde_json::to_string`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        write_compact(self, &mut out);
-        f.write_str(&out)
+        write_compact(self, f)
     }
 }
 
-fn write_compact(v: &Value, out: &mut String) {
+/// The one compact printer: `Display`, `serde_json::to_string` / `to_vec` /
+/// `to_writer` and [`crate::Serialize::write_json`] all end here. Writes
+/// from the borrowed tree; nothing is cloned or staged.
+pub(crate) fn write_compact<W: fmt::Write + ?Sized>(v: &Value, out: &mut W) -> fmt::Result {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Null => out.write_str("null"),
+        Value::Bool(true) => out.write_str("true"),
+        Value::Bool(false) => out.write_str("false"),
+        Value::Number(n) => n.write_to(out),
         Value::String(s) => write_escaped(s, out),
         Value::Array(a) => {
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in a.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_compact(item, out);
+                write_compact(item, out)?;
             }
-            out.push(']');
+            out.write_char(']')
         }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_compact(item, out);
-            }
-            out.push('}');
-        }
+        Value::Object(m) => write_map(m, out),
     }
+}
+
+/// [`write_compact`] for a bare [`Map`].
+pub(crate) fn write_map<W: fmt::Write + ?Sized>(m: &Map, out: &mut W) -> fmt::Result {
+    out.write_char('{')?;
+    for (i, (k, item)) in m.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_escaped(k, out)?;
+        out.write_char(':')?;
+        write_compact(item, out)?;
+    }
+    out.write_char('}')
 }
 
 /// Append the JSON string-literal form of `s` (quotes and escapes included).
+/// Runs of characters that need no escape are copied whole.
 #[doc(hidden)]
-pub fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+pub fn write_escaped<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        // `b` is ASCII, so `run..i` and `i + 1..` fall on char boundaries.
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 fn kind(v: &Value) -> &'static str {

@@ -4,8 +4,18 @@
 //! real crate provides on top: a JSON text parser, compact and pretty
 //! printers, the `json!` macro, and the `to_*`/`from_*` conversion entry
 //! points used across this workspace.
+//!
+//! Both directions do linear work once. Printing goes through
+//! `serde::Serialize::write_json`, the by-reference half of `to_json`: a
+//! [`Value`] is printed from where it is, straight into the output. Parsing
+//! goes through `serde::Deserialize::from_json_owned`, the by-value half of
+//! `from_json`: `from_str::<Value>` returns the tree the parser built. The
+//! parser takes untrusted bytes (request bodies, journal frames): it never
+//! panics, copies each string run once, and refuses nesting deeper than
+//! 128 (`MAX_DEPTH`) instead of recursing until the stack ends.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::io;
 
 pub use serde::value::{Map, Number, Value};
 
@@ -38,6 +48,14 @@ impl From<serde::DeError> for Error {
     }
 }
 
+/// The printer failed without an I/O error behind it: a `fmt::Write` sink
+/// refused, which `String` never does.
+impl From<fmt::Error> for Error {
+    fn from(_: fmt::Error) -> Error {
+        Error::msg("formatter error")
+    }
+}
+
 /// `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -53,18 +71,20 @@ pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value> {
 
 /// Rebuild a typed value from a [`Value`] tree.
 pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T> {
-    T::from_json(&value).map_err(Error::from)
+    T::from_json_owned(value).map_err(Error::from)
 }
 
 /// Serialize to a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(write_compact(&value.to_json()))
+    let mut out = String::new();
+    value.write_json(&mut out)?;
+    Ok(out)
 }
 
 /// Serialize to an indented JSON string.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_pretty(&value.to_json(), 0, &mut out);
+    write_pretty(&value.to_json(), 0, &mut out)?;
     Ok(out)
 }
 
@@ -73,10 +93,34 @@ pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
     to_string(value).map(String::into_bytes)
 }
 
+/// Serialize as compact JSON into an I/O stream (a `&mut Vec<u8>` is one).
+pub fn to_writer<W: io::Write, T: serde::Serialize + ?Sized>(writer: W, value: &T) -> Result<()> {
+    /// The printer speaks `fmt::Write`; this keeps the I/O error it hides.
+    struct Utf8<W> {
+        inner: W,
+        failed: Option<io::Error>,
+    }
+    impl<W: io::Write> fmt::Write for Utf8<W> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.inner.write_all(s.as_bytes()).map_err(|e| {
+                self.failed = Some(e);
+                fmt::Error
+            })
+        }
+    }
+    let mut out = Utf8 {
+        inner: writer,
+        failed: None,
+    };
+    value.write_json(&mut out).map_err(|e| match out.failed {
+        Some(io) => Error::msg(format!("write failed: {io}")),
+        None => e.into(),
+    })
+}
+
 /// Parse a typed value from JSON text.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
-    let v = parse(s)?;
-    T::from_json(&v).map_err(Error::from)
+    T::from_json_owned(parse(s)?).map_err(Error::from)
 }
 
 /// Parse a typed value from JSON bytes (must be UTF-8).
@@ -87,11 +131,7 @@ pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T> {
 
 // ---------------------------------------------------------------- printer
 
-fn write_compact(v: &Value) -> String {
-    v.to_string()
-}
-
-fn write_pretty(v: &Value, depth: usize, out: &mut String) {
+fn write_pretty(v: &Value, depth: usize, out: &mut String) -> fmt::Result {
     const INDENT: &str = "  ";
     match v {
         Value::Array(a) if !a.is_empty() => {
@@ -101,7 +141,7 @@ fn write_pretty(v: &Value, depth: usize, out: &mut String) {
                     out.push_str(",\n");
                 }
                 out.push_str(&INDENT.repeat(depth + 1));
-                write_pretty(item, depth + 1, out);
+                write_pretty(item, depth + 1, out)?;
             }
             out.push('\n');
             out.push_str(&INDENT.repeat(depth));
@@ -114,29 +154,42 @@ fn write_pretty(v: &Value, depth: usize, out: &mut String) {
                     out.push_str(",\n");
                 }
                 out.push_str(&INDENT.repeat(depth + 1));
-                write_escaped(k, out);
+                write_escaped(k, out)?;
                 out.push_str(": ");
-                write_pretty(item, depth + 1, out);
+                write_pretty(item, depth + 1, out)?;
             }
             out.push('\n');
             out.push_str(&INDENT.repeat(depth));
             out.push('}');
         }
-        other => out.push_str(&other.to_string()),
+        other => write!(out, "{other}")?,
     }
+    Ok(())
 }
 
 // ----------------------------------------------------------------- parser
 
+/// Deepest array/object nesting the parser follows. Redfish documents nest
+/// a handful of levels; a request body of 100 000 `[` would otherwise
+/// recurse once per byte and end the process with a stack overflow. The cap
+/// is on the text, whoever wrote it: a service that wraps stored documents
+/// in its own frames must accept documents shallower than this.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    /// The input; `bytes` is the same memory, for byte-wise scanning.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -180,8 +233,18 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::String),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::msg(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::msg(format!(
                 "unexpected character {:?} at offset {}",
@@ -259,73 +322,68 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or escape whole. The input
+            // is a `&str` and both delimiters are ASCII, so the run is
+            // valid UTF-8 cut on char boundaries: nothing is re-validated.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::msg("unterminated string"))?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error::msg("unterminated string"))?;
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::msg("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pair handling for completeness.
-                            if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    out.push(char::from_u32(c).ok_or_else(|| Error::msg("invalid surrogate pair"))?);
-                                } else {
-                                    return Err(Error::msg("lone surrogate"));
-                                }
-                            } else {
-                                out.push(char::from_u32(cp).ok_or_else(|| Error::msg("invalid \\u escape"))?);
-                            }
-                        }
-                        other => return Err(Error::msg(format!("invalid escape \\{}", other as char))),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| Error::msg("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                .ok_or_else(|| Error::msg("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => out.push(self.unicode_escape()?),
+                other => return Err(Error::msg(format!("invalid escape \\{}", other as char))),
             }
         }
     }
 
+    /// The scalar a `\uXXXX` escape names (the `\u` is consumed already),
+    /// joining a high surrogate with the low-surrogate escape that must
+    /// follow it.
+    fn unicode_escape(&mut self) -> Result<char> {
+        let mut cp = self.hex4()?;
+        if (0xD800..0xDC00).contains(&cp) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(Error::msg("lone surrogate"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(Error::msg("lone surrogate"));
+            }
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+        }
+        // A low surrogate on its own is not a scalar either.
+        char::from_u32(cp).ok_or_else(|| Error::msg("lone surrogate"))
+    }
+
+    /// Exactly four hex digits (`from_str_radix` alone would take `+041`).
     fn hex4(&mut self) -> Result<u32> {
-        let slice = self
-            .bytes
+        let bad = || Error::msg("invalid \\u escape");
+        let digits = self
+            .src
             .get(self.pos..self.pos + 4)
-            .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| Error::msg("invalid \\u escape"))?;
-        let n = u32::from_str_radix(s, 16).map_err(|_| Error::msg("invalid \\u escape"))?;
+            .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(bad)?;
         self.pos += 4;
-        Ok(n)
+        u32::from_str_radix(digits, 16).map_err(|_| bad())
     }
 
     fn number(&mut self) -> Result<Value> {
@@ -344,7 +402,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| Error::msg("invalid number"))?;
+        // ASCII on both sides of the cut.
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Number(Number::from_u64(n)));
@@ -353,9 +412,11 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Number(Number::from_i64(n)));
             }
         }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::Float(f)))
-            .map_err(|_| Error::msg(format!("invalid number {text:?}")))
+        // `1e999` parses to infinity, which has no JSON form to print.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Number(Number::Float(f))),
+            _ => Err(Error::msg(format!("invalid number {text:?}"))),
+        }
     }
 }
 
@@ -514,5 +575,115 @@ mod tests {
         assert_eq!(to_string(&json!(2.0)).unwrap(), "2.0");
         let back: Value = from_str("2.0").unwrap();
         assert!(matches!(back, Value::Number(Number::Float(_))));
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one_behind_it() {
+        // Each of these panicked in a debug build (`lo - 0xDC00` underflows)
+        // or decoded to an invented character in release.
+        for bad in [
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800\ue000""#,
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\udc00""#,
+        ] {
+            let got = from_str::<Value>(bad);
+            assert!(got.is_err(), "{bad} must not decode, got {got:?}");
+        }
+        assert_eq!(from_str::<Value>(r#""\ud801\udc00""#).unwrap(), "\u{10400}");
+        assert_eq!(from_str::<Value>(r#""\ud83d\ude00!""#).unwrap(), "\u{1F600}!");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 41""#,
+            r#""\u41""#,
+            "\"\\u00\u{e9}\"",
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+        assert_eq!(from_str::<Value>(r#""\u0041\u00e9\u00E9""#).unwrap(), "A\u{e9}\u{e9}");
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        // The parent recursed once per `[`: 100 000 of them ended the
+        // process with a stack overflow, which no test can catch.
+        for open in ["[", "{\"a\":"] {
+            assert!(from_str::<Value>(&open.repeat(100_000)).is_err(), "{open}");
+        }
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        // Depth is nesting, not the number of containers seen.
+        let wide = format!("[{}]", vec!["[{}]"; 10_000].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn numbers_with_no_json_form_are_refused() {
+        for bad in ["1e999", "-1e999", "[1e400]", "-", "1.2.3", "+1"] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+        assert_eq!(from_str::<Value>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<Value>("-9223372036854775808").unwrap(), i64::MIN);
+        // What the printer writes for a float always parses back to itself.
+        let edge = to_string(&json!([1e300, -0.5, 1e15, 2.0, 5e-324, f64::MAX])).unwrap();
+        assert_eq!(to_string(&from_str::<Value>(&edge).unwrap()).unwrap(), edge);
+    }
+
+    #[test]
+    fn every_printer_entry_point_writes_the_same_bytes() {
+        let v = json!({"s": "q\"b\\n\n\u{1}\u{1f}\u{7f}\u{e9}\u{1F600}", "a": [1, -2, 2.5, null, true], "o": {}});
+        let text = to_string(&v).unwrap();
+        assert_eq!(
+            text,
+            "{\"s\":\"q\\\"b\\\\n\\n\\u0001\\u001f\u{7f}\u{e9}\u{1F600}\",\"a\":[1,-2,2.5,null,true],\"o\":{}}"
+        );
+        assert_eq!(v.to_string(), text);
+        assert_eq!(to_vec(&v).unwrap(), text.as_bytes());
+        let mut sink = b"<".to_vec();
+        to_writer(&mut sink, &v).unwrap();
+        assert_eq!(sink, format!("<{text}").into_bytes());
+        // A typed value goes through the same printer via its tree.
+        assert_eq!(to_string(&vec![Some("x"), None]).unwrap(), "[\"x\",null]");
+
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = to_writer(Full, &v).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
+    }
+
+    /// Parsing is linear in the input. The parent re-validated the rest of
+    /// the input once per character of a string: 1 MiB took > 20 s in a
+    /// debug build, and one such request stalls the single epoll worker.
+    #[test]
+    fn a_mebibyte_parses_in_well_under_a_second() {
+        let one_string = format!("{{\"Description\":\"{}\"}}", "x\u{e9}".repeat(349_000));
+        let link = r#"{"@odata.id":"/redfish/v1/Chassis/churn-00000"}"#;
+        let members = format!(
+            "{{\"Members\":[{}],\"Members@odata.count\":20000}}",
+            vec![link; 20_000].join(",")
+        );
+        for doc in [one_string, members] {
+            assert!(doc.len() > 900_000 && doc.len() <= 1 << 20, "{}", doc.len());
+            let start = std::time::Instant::now();
+            let v: Value = from_slice(doc.as_bytes()).unwrap();
+            let took = start.elapsed();
+            assert!(took.as_millis() < 1000, "{} bytes took {took:?}", doc.len());
+            assert_eq!(to_string(&v).unwrap(), doc);
+        }
     }
 }

@@ -449,7 +449,7 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
             }
         };
         let parsed: Result<Value, _> = serde_json::from_slice(payload);
-        match parsed.ok().as_ref().and_then(WalRecord::from_value) {
+        match parsed.ok().and_then(WalRecord::from_value) {
             Some(rec) => out.push(rec),
             None => {
                 valid_len = f.offset;
@@ -597,6 +597,30 @@ mod tests {
         let replay = wal.replay().expect("replay");
         assert_eq!(replay.torn_tails, 1);
         assert_eq!(replay.records, vec![mark(1)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A frame is one level around the body it carries and is read by the
+    /// parser that follows 128: a body 127 deep comes back, one level more
+    /// would end the valid prefix — which is why the REST path, the one
+    /// source of untrusted bodies, stops far short of it.
+    #[test]
+    fn a_frame_puts_one_level_around_its_body() {
+        let create = |arrays: usize| WalRecord::Create {
+            id: "/redfish/v1/Chassis/deep".into(),
+            body: serde_json::from_str(&format!("{}1{}", "[".repeat(arrays), "]".repeat(arrays))).expect("body"),
+            etag: 7,
+            is_collection: false,
+            parent_etag: None,
+        };
+        let dir = tmpdir("depth");
+        let wal = Wal::open(&dir, FsyncPolicy::Off).expect("open");
+        for rec in [create(127), mark(1), create(128), mark(2)] {
+            wal.append(&rec).expect("append");
+        }
+        let replay = wal.replay().expect("replay");
+        assert_eq!(replay.records, vec![create(127), mark(1)]);
+        assert_eq!(replay.torn_tails, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,7 @@
 //! below the Redfish data model and must not depend on it.
 
 use serde_json::{Map, Number, Value};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One durable control-plane mutation (or snapshot install record).
 ///
@@ -214,23 +214,23 @@ impl Field<'_> {
     }
 
     /// Append the compact JSON text `serde_json` prints for [`Field::to_value`].
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut String) -> fmt::Result {
         match self {
             Field::Str(v) => serde_json::write_escaped(v, out),
-            // Writing into a `String` cannot fail.
-            Field::U64(v) => drop(write!(out, "{v}")),
-            Field::Bool(v) => out.push_str(if v { "true" } else { "false" }),
+            Field::U64(v) => write!(out, "{v}"),
+            Field::Bool(v) => write!(out, "{v}"),
             Field::Strs(vs) => {
                 out.push('[');
                 for (i, v) in vs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    serde_json::write_escaped(v, out);
+                    serde_json::write_escaped(v, out)?;
                 }
                 out.push(']');
+                Ok(())
             }
-            Field::Json(v) => drop(write!(out, "{v}")),
+            Field::Json(v) => write!(out, "{v}"),
         }
     }
 }
@@ -256,13 +256,14 @@ fn install_fields<'a>(
 /// Append the on-disk JSON object of kind `kind` whose fields `fields`
 /// yields, in the order it yields them.
 fn write_object<'a>(kind: &str, out: &mut String, fields: impl FnOnce(&mut dyn FnMut(&'static str, Field<'a>))) {
+    // Writing into a `String` cannot fail.
     out.push_str("{\"k\":");
-    serde_json::write_escaped(kind, out);
+    let _ = serde_json::write_escaped(kind, out);
     fields(&mut |key, field| {
         out.push(',');
-        serde_json::write_escaped(key, out);
+        let _ = serde_json::write_escaped(key, out);
         out.push(':');
-        field.write_json(out);
+        let _ = field.write_json(out);
     });
     out.push('}');
 }
@@ -273,8 +274,11 @@ pub(crate) fn encode_install(id: &str, body: &Value, etag: u64, is_collection: b
     write_object(INSTALL, out, |put| install_fields(id, body, etag, is_collection, put));
 }
 
-fn get_str(m: &Map, key: &str) -> Option<String> {
-    m.get(key)?.as_str().map(|v| v.to_string())
+fn take_str(m: &mut Map, key: &str) -> Option<String> {
+    match m.remove(key)? {
+        Value::String(v) => Some(v),
+        _ => None,
+    }
 }
 
 fn get_u64(m: &Map, key: &str) -> Option<u64> {
@@ -285,17 +289,16 @@ fn get_bool(m: &Map, key: &str) -> Option<bool> {
     m.get(key)?.as_bool()
 }
 
-fn get_val(m: &Map, key: &str) -> Option<Value> {
-    m.get(key).cloned()
-}
-
-fn get_strings(m: &Map, key: &str) -> Option<Vec<String>> {
-    let arr = m.get(key)?.as_array()?;
-    let mut out = Vec::with_capacity(arr.len());
-    for v in arr {
-        out.push(v.as_str()?.to_string());
-    }
-    Some(out)
+fn take_strings(m: &mut Map, key: &str) -> Option<Vec<String>> {
+    let Value::Array(arr) = m.remove(key)? else {
+        return None;
+    };
+    arr.into_iter()
+        .map(|v| match v {
+            Value::String(v) => Some(v),
+            _ => None,
+        })
+        .collect()
 }
 
 impl WalRecord {
@@ -454,40 +457,44 @@ impl WalRecord {
         write_object(self.kind(), out, |put| self.fields(put));
     }
 
-    /// Decode from the on-disk JSON object. `None` on any structural
-    /// mismatch — the caller treats an undecodable frame as a torn tail.
-    pub fn from_value(v: &Value) -> Option<WalRecord> {
-        let m = v.as_object()?;
-        let kind = m.get("k")?.as_str()?;
-        Some(match kind {
+    /// Decode from the on-disk JSON object, taking its strings and bodies
+    /// as they were parsed. `None` on any structural mismatch — the caller
+    /// treats an undecodable frame as a torn tail.
+    pub fn from_value(v: Value) -> Option<WalRecord> {
+        let Value::Object(mut m) = v else {
+            return None;
+        };
+        let m = &mut m;
+        let kind = take_str(m, "k")?;
+        Some(match kind.as_str() {
             "create" => WalRecord::Create {
-                id: get_str(m, "id")?,
-                body: get_val(m, "body")?,
+                id: take_str(m, "id")?,
+                body: m.remove("body")?,
                 etag: get_u64(m, "etag")?,
                 is_collection: get_bool(m, "coll")?,
                 parent_etag: get_u64(m, "parent_etag"),
             },
             "patch" => WalRecord::Patch {
-                id: get_str(m, "id")?,
-                delta: get_val(m, "delta")?,
+                id: take_str(m, "id")?,
+                delta: m.remove("delta")?,
                 etag: get_u64(m, "etag")?,
             },
             "replace" => WalRecord::Replace {
-                id: get_str(m, "id")?,
-                body: get_val(m, "body")?,
+                id: take_str(m, "id")?,
+                body: m.remove("body")?,
                 etag: get_u64(m, "etag")?,
             },
             "delete" => WalRecord::Delete {
-                id: get_str(m, "id")?,
+                id: take_str(m, "id")?,
                 parent_etag: get_u64(m, "parent_etag"),
             },
             "delete_subtree" => WalRecord::DeleteSubtree {
-                id: get_str(m, "id")?,
+                id: take_str(m, "id")?,
                 parent_etag: get_u64(m, "parent_etag"),
             },
             "install" => WalRecord::InstallResource {
-                id: get_str(m, "id")?,
-                body: get_val(m, "body")?,
+                id: take_str(m, "id")?,
+                body: m.remove("body")?,
                 etag: get_u64(m, "etag")?,
                 is_collection: get_bool(m, "coll")?,
             },
@@ -498,60 +505,60 @@ impl WalRecord {
                 now_ms: get_u64(m, "now_ms")?,
             },
             "subscribe" => WalRecord::Subscribe {
-                id: get_str(m, "id")?,
-                destination: get_str(m, "dest")?,
-                event_types: get_strings(m, "types")?,
-                origins: get_strings(m, "origins")?,
+                id: take_str(m, "id")?,
+                destination: take_str(m, "dest")?,
+                event_types: take_strings(m, "types")?,
+                origins: take_strings(m, "origins")?,
             },
-            "unsubscribe" => WalRecord::Unsubscribe { id: get_str(m, "id")? },
+            "unsubscribe" => WalRecord::Unsubscribe { id: take_str(m, "id")? },
             "session_login" => WalRecord::SessionLogin {
-                token: get_str(m, "token")?,
-                session_id: get_str(m, "sid")?,
-                user: get_str(m, "user")?,
+                token: take_str(m, "token")?,
+                session_id: take_str(m, "sid")?,
+                user: take_str(m, "user")?,
                 last_used_ms: get_u64(m, "used_ms")?,
             },
             "session_touch" => WalRecord::SessionTouch {
-                token: get_str(m, "token")?,
+                token: take_str(m, "token")?,
                 last_used_ms: get_u64(m, "used_ms")?,
             },
             "session_end" => WalRecord::SessionEnd {
-                token: get_str(m, "token")?,
+                token: take_str(m, "token")?,
             },
             "teardown" => WalRecord::Teardown {
-                fabric: get_str(m, "fabric")?,
-                op: get_val(m, "op")?,
+                fabric: take_str(m, "fabric")?,
+                op: m.remove("op")?,
             },
             "teardown_drained" => WalRecord::TeardownDrained {
-                fabric: get_str(m, "fabric")?,
+                fabric: take_str(m, "fabric")?,
             },
             "compose_intent" => WalRecord::ComposeIntent {
-                system: get_str(m, "system")?,
-                node: get_str(m, "node")?,
-                request: get_val(m, "request")?,
-                planned: get_val(m, "planned")?,
+                system: take_str(m, "system")?,
+                node: take_str(m, "node")?,
+                request: m.remove("request")?,
+                planned: m.remove("planned")?,
             },
             "bind_done" => WalRecord::BindDone {
-                system: get_str(m, "system")?,
-                binding: get_val(m, "binding")?,
+                system: take_str(m, "system")?,
+                binding: m.remove("binding")?,
             },
             "compose_commit" => WalRecord::ComposeCommit {
-                system: get_str(m, "system")?,
+                system: take_str(m, "system")?,
             },
             "compose_abort" => WalRecord::ComposeAbort {
-                system: get_str(m, "system")?,
+                system: take_str(m, "system")?,
             },
             "decompose" => WalRecord::Decompose {
-                system: get_str(m, "system")?,
+                system: take_str(m, "system")?,
             },
             "bind_added" => WalRecord::BindAdded {
-                system: get_str(m, "system")?,
-                binding: get_val(m, "binding")?,
+                system: take_str(m, "system")?,
+                binding: m.remove("binding")?,
             },
             "compose_live" => WalRecord::ComposeLive {
-                system: get_str(m, "system")?,
-                node: get_str(m, "node")?,
-                request: get_val(m, "request")?,
-                bindings: get_val(m, "bindings")?,
+                system: take_str(m, "system")?,
+                node: take_str(m, "node")?,
+                request: m.remove("request")?,
+                bindings: m.remove("bindings")?,
             },
             _ => return None,
         })
@@ -565,12 +572,12 @@ mod tests {
 
     fn roundtrip(r: WalRecord) {
         let v = r.to_value();
-        let back = WalRecord::from_value(&v).expect("roundtrip decode");
+        let back = WalRecord::from_value(v.clone()).expect("roundtrip decode");
         assert_eq!(back, r);
         // And through the serializer, as the file does it.
         let text = serde_json::to_string(&v).expect("serialize");
         let parsed: Value = serde_json::from_str(&text).expect("parse");
-        assert_eq!(WalRecord::from_value(&parsed), Some(r.clone()));
+        assert_eq!(WalRecord::from_value(parsed), Some(r.clone()));
         // The journal's direct encoder writes those same bytes.
         let mut encoded = String::new();
         r.encode(&mut encoded);
@@ -697,14 +704,14 @@ mod tests {
 
     #[test]
     fn unknown_kind_decodes_to_none() {
-        assert_eq!(WalRecord::from_value(&json!({"k": "time_travel"})), None);
-        assert_eq!(WalRecord::from_value(&json!({"no_k": true})), None);
-        assert_eq!(WalRecord::from_value(&json!(42)), None);
+        assert_eq!(WalRecord::from_value(json!({"k": "time_travel"})), None);
+        assert_eq!(WalRecord::from_value(json!({"no_k": true})), None);
+        assert_eq!(WalRecord::from_value(json!(42)), None);
     }
 
     #[test]
     fn missing_field_decodes_to_none() {
-        assert_eq!(WalRecord::from_value(&json!({"k": "create", "id": "/x"})), None);
-        assert_eq!(WalRecord::from_value(&json!({"k": "etag_floor"})), None);
+        assert_eq!(WalRecord::from_value(json!({"k": "create", "id": "/x"})), None);
+        assert_eq!(WalRecord::from_value(json!({"k": "etag_floor"})), None);
     }
 }

@@ -5,9 +5,13 @@
 // tier-1 command (root package only) guards the link-following inventory.
 #[path = "../crates/composer/tests/oracle/mod.rs"]
 mod oracle;
+// Likewise the registry's: what its byte writers must produce, in `Value`s.
+#[path = "../crates/redfish/tests/wire_oracle/mod.rs"]
+mod wire_oracle;
 
 use composer::{Composer, CompositionRequest, Strategy};
-use ofmf_repro::demo_rig;
+use ofmf_agents::flavors::RackShape;
+use ofmf_repro::{demo_rig, demo_rig_with_shape};
 use ofmf_rest::{HttpClient, RestServer, Router};
 use redfish_model::odata::ODataId;
 use serde_json::json;
@@ -212,4 +216,83 @@ fn link_following_inventory_matches_full_type_scan() {
         &before,
         "against the rig without them",
     );
+}
+
+/// Tier-1 slice of the wire byte-identity suite (`crates/redfish/tests/
+/// wire_identity.rs`, `crates/rest/tests/rest_stack.rs`): every resource of
+/// the rack rig the benchmark boots is answered — GET on a cache miss, on
+/// the hit, and `$expand` — with exactly the bytes its `wire_body()` prints
+/// to, fresh and after a compose has patched, created and linked its way
+/// through the tree; and `Ofmf::get_raw` is `Ofmf::get`, printed.
+#[test]
+fn rack_rig_wire_bytes_are_what_the_wire_body_prints() {
+    let rack = RackShape {
+        compute_nodes: 128,
+        targets: 32,
+        leaves: 16,
+        spines: 2,
+        ..RackShape::default()
+    };
+    let rig = demo_rig_with_shape(307, &rack);
+    let checked = wire_oracle::assert_wire_identity(&rig.ofmf.registry);
+    assert!(checked > 1700, "the rack rig tree: {checked} resources");
+
+    let composer = Composer::new(Arc::clone(&rig.ofmf), Strategy::TopologyAware);
+    let req = CompositionRequest::compute_only("wire", 8, 8)
+        .with_fabric_memory_mib(4096)
+        .with_gpus(1)
+        .with_storage_bytes(1 << 30);
+    let system = composer.compose(&req).unwrap().system;
+    assert!(wire_oracle::assert_wire_identity(&rig.ofmf.registry) > checked);
+    let (bytes, etag) = rig.ofmf.get_raw(&system).unwrap();
+    let (body, same) = rig.ofmf.get(&system).unwrap();
+    assert_eq!(etag, same);
+    assert_eq!(bytes.to_vec(), serde_json::to_vec(&body).unwrap());
+}
+
+/// Tier-1 slice of the hostile-JSON suite (the shim's unit tests,
+/// `crates/redfish/tests/prop_json.rs`, `wire_conformance.rs`): the inputs
+/// that used to end the process, panic a worker or hold it for half a
+/// minute are an `Err` — a 400 over REST — or parse promptly.
+#[test]
+fn hostile_json_is_refused_and_a_mebibyte_parses_promptly() {
+    let parse = |text: &str| serde_json::from_str::<serde_json::Value>(text);
+    assert!(parse(&"[".repeat(100_000)).is_err(), "unbounded recursion");
+    for lone in [
+        r#""\ud800\u0041""#,
+        r#""\ud800\ud800""#,
+        r#""\ud800\ue000""#,
+        r#""\u+041""#,
+    ] {
+        assert!(parse(lone).is_err(), "{lone}");
+    }
+    assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+
+    let doc = format!("{{\"Description\":\"{}\"}}", "x".repeat((1 << 20) - 32));
+    let started = std::time::Instant::now();
+    let parsed = parse(&doc).unwrap();
+    assert!(
+        started.elapsed().as_millis() < 1000,
+        "1 MiB took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(serde_json::to_string(&parsed).unwrap(), doc);
+
+    // Over the wire the same bytes are a 400 and the router lives on.
+    let rig = demo_rig(308);
+    let router = Router::new(Arc::clone(&rig.ofmf), false);
+    let request = |body: &str| ofmf_rest::http::Request {
+        method: ofmf_rest::http::Method::Post,
+        path: "/redfish/v1/Chassis".to_string(),
+        query: None,
+        headers: Default::default(),
+        body: body.as_bytes().to_vec(),
+        version: ofmf_rest::http::HttpVersion::Http11,
+    };
+    assert_eq!(router.handle(&request(&"[".repeat(100_000))).status, 400);
+    assert_eq!(
+        router.handle(&request(r#"{"Id":"x","Name":"\ud800\u0041"}"#)).status,
+        400
+    );
+    assert_eq!(router.handle(&request(r#"{"Id":"x","Name":"fine"}"#)).status, 201);
 }

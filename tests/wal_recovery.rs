@@ -394,3 +394,92 @@ fn restored_session_deadline_is_within_one_granule() {
     assert!(ofmf.sessions.authenticate(&ofmf.registry, &token).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Whatever the REST path accepts can be read back at boot. A journal or
+/// snapshot frame puts one level around the stored body and `$expand` two,
+/// and all of them go through the parser that caps nesting at 128: the
+/// deepest body the router takes (64) replays from the journal and from a
+/// snapshot with nothing truncated behind it, and one level more is a 400
+/// that journals nothing. A frame that does not parse at boot counts as a
+/// torn tail, and every acknowledged mutation behind it is cut off.
+#[test]
+fn the_deepest_accepted_body_replays_from_journal_and_snapshot() {
+    let request = |method, path: &str, query: Option<&str>, body: &str| Request {
+        method,
+        path: path.to_string(),
+        query: query.map(str::to_string),
+        headers: Default::default(),
+        body: body.as_bytes().to_vec(),
+        version: HttpVersion::Http11,
+    };
+    // An object around `arrays` nested arrays: `arrays + 1` levels.
+    let nested = |id: &str, arrays: usize| {
+        format!(
+            "{{\"Id\":\"{id}\",\"a\":{}1{}}}",
+            "[".repeat(arrays),
+            "]".repeat(arrays)
+        )
+    };
+    let deep = ODataId::new("/redfish/v1/Chassis/deep");
+    let after = ODataId::new("/redfish/v1/Chassis/after");
+
+    for snapshot in [false, true] {
+        let dir = fresh_dir(if snapshot { "deep-snapshot" } else { "deep-journal" });
+        let stored = {
+            let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Off).expect("open"));
+            let ofmf = Ofmf::with_wal("ofmf-deep", HashMap::new(), 7007, Arc::clone(&wal)).expect("boot");
+            let router = Router::new(Arc::clone(&ofmf), false);
+
+            let journaled = wal.log_bytes();
+            for (method, path) in [
+                (Method::Post, "/redfish/v1/Chassis"),
+                (Method::Patch, "/redfish/v1/Managers/OFMF"),
+            ] {
+                let refused = router.handle(&request(method, path, None, &nested("deeper", 64)));
+                assert_eq!(refused.status, 400);
+                let text = String::from_utf8_lossy(&refused.body).to_string();
+                assert!(text.contains("invalid JSON body: nesting deeper than 64"), "{text}");
+            }
+            assert_eq!(wal.log_bytes(), journaled, "a refused body journals nothing");
+
+            let created = router.handle(&request(Method::Post, "/redfish/v1/Chassis", None, &nested("deep", 63)));
+            assert_eq!(created.status, 201, "{}", String::from_utf8_lossy(&created.body));
+            let patched = router.handle(&request(
+                Method::Patch,
+                deep.as_str(),
+                None,
+                &nested("deep", 63).replace("\"Id\":\"deep\",\"a\"", "\"b\""),
+            ));
+            assert_eq!(patched.status, 200, "{}", String::from_utf8_lossy(&patched.body));
+            // `$expand` beside `$top` parses the expanded answer back: the
+            // member sits two levels down in it.
+            let paged = router.handle(&request(
+                Method::Get,
+                "/redfish/v1/Chassis",
+                Some("$expand=.&$top=1000"),
+                "",
+            ));
+            assert_eq!(paged.status, 200, "{}", String::from_utf8_lossy(&paged.body));
+            if snapshot {
+                ofmf.write_snapshot().expect("snapshot");
+            }
+            let next = router.handle(&request(Method::Post, "/redfish/v1/Chassis", None, r#"{"Id":"after"}"#));
+            assert_eq!(next.status, 201);
+            ofmf.registry.get(&deep).expect("stored").body
+        };
+
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Off).expect("reopen"));
+        let before = wal.log_bytes();
+        let replay = wal.replay().expect("replay");
+        assert_eq!(replay.torn_tails, 0, "snapshot={snapshot}: every frame parses");
+        assert_eq!(wal.log_bytes(), before, "snapshot={snapshot}: nothing truncated");
+        let ofmf = Ofmf::with_wal("ofmf-deep", HashMap::new(), 7007, wal).expect("recovery boot");
+        assert!(ofmf.was_recovered());
+        assert_eq!(ofmf.registry.get(&deep).expect("deep survives").body, stored);
+        assert!(
+            ofmf.registry.get(&after).is_ok(),
+            "snapshot={snapshot}: the mutation acknowledged after it survives"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
