@@ -79,10 +79,6 @@ pub struct Ofmf {
     member_seq: AtomicU64,
     seed: u64,
     sup_cfg: SupervisorConfig,
-    /// Internal journal subscription: every published event is drained into
-    /// the Redfish event log by [`Ofmf::flush_event_log`].
-    journal: crossbeam::channel::Receiver<redfish_model::resources::events::EventEnvelope>,
-    journal_seq: AtomicU64,
     /// The durability write-ahead log, when this OFMF was booted with one.
     wal: Option<Arc<Wal>>,
     /// Whether this boot replayed state from a WAL (vs a fresh bootstrap).
@@ -103,13 +99,6 @@ pub struct Ofmf {
 /// Callback supplying extra snapshot records from higher layers (the
 /// composer's live compositions); see [`Ofmf::set_snapshot_provider`].
 pub type SnapshotProvider = Box<dyn Fn() -> Vec<WalRecord> + Send + Sync>;
-
-/// Destination of the internal subscription that feeds the event log.
-const EVENT_LOG_TAP: &str = "internal://event-log";
-
-/// Maximum entries retained in the event log (oldest are evicted —
-/// `OverWritePolicy: WrapsWhenFull`).
-pub const EVENT_LOG_CAP: usize = 512;
 
 /// Live-log size past which [`Ofmf::poll`] writes a compacting snapshot.
 pub const WAL_SNAPSHOT_THRESHOLD_BYTES: u64 = 4 * 1024 * 1024;
@@ -204,7 +193,7 @@ impl Ofmf {
         let mut recovered_teardowns: HashMap<String, Vec<AgentOp>> = HashMap::new();
 
         let recovered = replayed.is_some();
-        let journal = if let Some(records) = replayed {
+        if let Some(records) = replayed {
             // ---- restored boot: each service folds its own records; the
             // clock, the teardown journal and the composer's are folded here
             let mut max_ms = 0u64;
@@ -228,9 +217,7 @@ impl Ofmf {
             // clock, so restored session deadlines stay meaningful.
             clock.resume_from(max_ms);
             sessions.replay(&records);
-            // The internal event-log subscription is created on every fresh
-            // boot, so it is in the journal unless that was cut short.
-            let journal = events.replay(&records, EVENT_LOG_TAP);
+            events.replay(&records);
             // Last, by value: a registry record's body moves from the parsed
             // frame into the tree, the composer's records to its recovery.
             for rec in records {
@@ -247,21 +234,14 @@ impl Ofmf {
                     }
                 }
             }
-            journal
         } else {
             // ---- fresh boot: journaled from the very first create, so the
             // bootstrap itself is replayable ----
             // ofmf-lint: allow(no-panic-path, "bootstrap of an empty registry only inserts fresh ids; Conflict is impossible")
             tree::bootstrap(&registry, uuid).expect("bootstrap on fresh registry cannot fail");
-            let (_journal_id, journal) = events
-                .subscribe(&registry, EVENT_LOG_TAP, vec![], vec![])
-                // ofmf-lint: allow(no-panic-path, "first subscription on a freshly bootstrapped tree cannot collide")
-                .expect("journal subscription on a fresh tree");
-            journal
-        };
+        }
 
         let member_floor = if recovered { member_seq_floor(&registry) } else { 1 };
-        let journal_floor = if recovered { journal_seq_floor(&registry) } else { 1 };
 
         Ok(Arc::new(Ofmf {
             registry,
@@ -274,8 +254,6 @@ impl Ofmf {
             member_seq: AtomicU64::new(member_floor),
             seed,
             sup_cfg: SupervisorConfig::default(),
-            journal,
-            journal_seq: AtomicU64::new(journal_floor),
             wal,
             recovered,
             recovered_compose: Mutex::new(recovered_compose),
@@ -401,47 +379,10 @@ impl Ofmf {
         }
     }
 
-    /// Drain the internal journal into `LogEntry` resources under the OFMF
-    /// manager's event log, evicting the oldest entries beyond
-    /// [`EVENT_LOG_CAP`]. Returns the number of entries written. Called by
-    /// [`Ofmf::poll`]; safe to call any time.
-    pub fn flush_event_log(&self) -> usize {
-        use redfish_model::resources::{LogEntry, Resource};
-        let entries_col = ODataId::new(top::EVENT_LOG_ENTRIES);
-        let mut written = 0;
-        while let Ok(batch) = self.journal.try_recv() {
-            for rec in batch.events.iter() {
-                let seq = self.journal_seq.fetch_add(1, Ordering::AcqRel);
-                let entry = LogEntry::event(
-                    &entries_col,
-                    &seq.to_string(),
-                    &rec.severity,
-                    &rec.message,
-                    &rec.message_id,
-                    &rec.origin_of_condition.odata_id,
-                    rec.event_timestamp,
-                );
-                if self
-                    .registry
-                    .create(&entries_col.child(&seq.to_string()), entry.to_value())
-                    .is_ok()
-                {
-                    written += 1;
-                }
-            }
-        }
-        if written > 0 {
-            if let Ok(members) = self.registry.members(&entries_col) {
-                if members.len() > EVENT_LOG_CAP {
-                    // ofmf-lint: allow(no-panic-path, "guard above ensures len > EVENT_LOG_CAP, so the range end is in bounds")
-                    for old in &members[..members.len() - EVENT_LOG_CAP] {
-                        let _ = self.registry.delete(old);
-                    }
-                }
-            }
-        }
-        written
-    }
+    /// Does nothing: the event log is written on publish
+    /// ([`EventService::log`]). Kept callable only because the frozen
+    /// harness in `benchmark/src/layers.rs` still calls it.
+    pub fn flush_event_log(&self) {}
 
     /// Allocate a collection-unique member id (used when clients POST
     /// without an `Id`).
@@ -754,7 +695,6 @@ impl Ofmf {
             }
         }
         self.sessions.sweep_expired(&self.registry);
-        self.flush_event_log();
         if let Some(w) = &self.wal {
             // Stamp the clock about once a second of service time, so a
             // crash replays to within a second of the pre-crash timeline.
@@ -1148,19 +1088,6 @@ fn member_seq_floor(registry: &Registry) -> u64 {
     max.saturating_add(1)
 }
 
-/// Resume floor for the event-log sequence after replay.
-fn journal_seq_floor(registry: &Registry) -> u64 {
-    let mut max = 0u64;
-    if let Ok(members) = registry.members(&ODataId::new(top::EVENT_LOG_ENTRIES)) {
-        for m in members {
-            if let Ok(n) = m.as_str().rsplit('/').next().unwrap_or("").parse::<u64>() {
-                max = max.max(n);
-            }
-        }
-    }
-    max.saturating_add(1)
-}
-
 /// Extract `Links.{key}` (or top-level `{key}`) as a list of ids.
 fn links_of(body: &Value, key: &str) -> RedfishResult<Vec<ODataId>> {
     let section = body.get("Links").and_then(|l| l.get(key)).or_else(|| body.get(key));
@@ -1401,41 +1328,43 @@ mod tests {
 
     #[test]
     fn event_log_materializes_and_wraps() {
+        use crate::events::EVENT_LOG_CAP;
         let o = ofmf();
-        let entries = ODataId::new(top::EVENT_LOG_ENTRIES);
-        // Publish a burst and flush.
+        let origin = ODataId::new("/redfish/v1/Fabrics/X");
+        // Recorded on publish: no poll, nothing stored in the tree.
         for i in 0..5 {
-            o.events.publish(
-                EventType::Alert,
-                &ODataId::new("/redfish/v1/Fabrics/X"),
-                format!("alert {i}"),
-                "Warning",
-            );
+            o.events
+                .publish(EventType::Alert, &origin, format!("alert {i}"), "Warning");
         }
-        let n = o.flush_event_log();
-        assert_eq!(n, 5);
-        let members = o.registry.members(&entries).unwrap();
-        assert_eq!(members.len(), 5);
-        let first = o.registry.get(&members[0]).unwrap().body;
-        assert_eq!(first["Message"], "alert 0");
-        assert_eq!(first["Severity"], "Warning");
+        let log = o.events.log();
+        assert_eq!(log.len(), 5);
+        assert_eq!(
+            (log[0].message.as_str(), log[0].severity.as_str()),
+            ("alert 0", "Warning")
+        );
+        assert!(o
+            .registry
+            .members(&ODataId::new(top::EVENT_LOG_ENTRIES))
+            .unwrap()
+            .is_empty());
 
-        // Overflow the cap: oldest entries are evicted.
-        for i in 0..(EVENT_LOG_CAP + 20) {
-            o.events.publish(
-                EventType::StatusChange,
-                &ODataId::new("/redfish/v1/Fabrics/X"),
-                format!("tick {i}"),
-                "OK",
-            );
-            // Flush periodically so the journal queue never overflows.
-            if i % 100 == 0 {
-                o.flush_event_log();
-            }
+        // Overflow the cap, starting with one batch of 20: the oldest are
+        // evicted (half of the batch with them) and the rest stay in
+        // publish order.
+        let batch = (0..20)
+            .map(|i| {
+                o.events
+                    .record(EventType::StatusChange, &origin, format!("tick {i}"), "OK")
+            })
+            .collect();
+        o.events.publish_batch(EventType::StatusChange, &origin, batch);
+        for i in 20..EVENT_LOG_CAP + 10 {
+            o.events
+                .publish(EventType::StatusChange, &origin, format!("tick {i}"), "OK");
         }
-        o.flush_event_log();
-        let members = o.registry.members(&entries).unwrap();
-        assert_eq!(members.len(), EVENT_LOG_CAP, "wraps when full");
+        let messages: Vec<String> = o.events.log().into_iter().map(|r| r.message).collect();
+        let expected: Vec<String> = (10..EVENT_LOG_CAP + 10).map(|i| format!("tick {i}")).collect();
+        assert_eq!(messages, expected, "wraps when full");
     }
 
     #[test]

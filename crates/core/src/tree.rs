@@ -150,13 +150,13 @@ pub fn bootstrap(reg: &Registry, uuid: &str) -> RedfishResult<()> {
             "Entries": {"@odata.id": top::EVENT_LOG_ENTRIES},
         }),
     )?;
+    // The event log and the observability views are rings served live by
+    // the REST layer; only the shells live in the tree.
     reg.create_collection(
         &ODataId::new(top::EVENT_LOG_ENTRIES),
         "#LogEntryCollection.LogEntryCollection",
         "Event Log Entries",
     )?;
-    // Observability: in-process metrics and the event ring, served live by
-    // the REST layer; only the shells live in the tree.
     reg.create(
         &log_services.child("Observability"),
         json!({

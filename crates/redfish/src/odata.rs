@@ -14,9 +14,20 @@ use std::fmt;
 /// `ODataId` is a thin newtype over `String` that normalizes trailing
 /// slashes away so that `/redfish/v1/Systems/` and `/redfish/v1/Systems`
 /// compare equal, as required by the Redfish specification.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct ODataId(String);
+
+/// By hand so that `clone_from` reuses the target's buffer.
+impl Clone for ODataId {
+    fn clone(&self) -> Self {
+        ODataId(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl ODataId {
     /// Create a new id, normalizing any trailing slash.

@@ -651,10 +651,6 @@ impl Registry {
     /// Verify that every `{"@odata.id": ...}` reference anywhere in the tree
     /// points at an existing resource. Returns the list of dangling links.
     /// Takes a consistent read snapshot of every shard.
-    ///
-    /// `LogEntry` resources are exempt: log entries are historical records
-    /// whose `OriginOfCondition` may legitimately outlive the resource it
-    /// described (a lost connection, a deleted zone).
     pub fn dangling_links(&self) -> Vec<(ODataId, ODataId)> {
         let guards = self.read_all();
         let contains = |target: &ODataId| {
@@ -665,9 +661,6 @@ impl Registry {
         let mut dangling = Vec::new();
         for t in &guards {
             for (id, node) in &t.nodes {
-                if node.odata_type().is_some_and(|ty| ty.starts_with("#LogEntry.")) {
-                    continue;
-                }
                 let mut stack = vec![&node.body];
                 while let Some(v) = stack.pop() {
                     match v {

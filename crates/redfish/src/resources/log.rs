@@ -1,13 +1,15 @@
 //! Log resources: `LogEntry` records under a `LogService`.
 //!
 //! The OFMF keeps "a subscription-based central repository for telemetry
-//! information, provisioning, and event logs" — the event-log half
-//! materializes delivered events as `LogEntry` resources under
-//! `/redfish/v1/Managers/OFMF/LogServices/EventLog/Entries`.
+//! information, provisioning, and event logs" — the event-log half serves
+//! the event service's log of published events as `LogEntry` resources
+//! under `/redfish/v1/Managers/OFMF/LogServices/EventLog/Entries`,
+//! rendered per GET rather than stored in the tree.
 
 use crate::odata::{Link, ODataId, ResourceHeader};
 use crate::resources::Resource;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// One event-log record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,6 +35,9 @@ pub struct LogEntry {
     /// The resource the event was about.
     #[serde(rename = "Links")]
     pub links: LogEntryLinks,
+    /// Service-specific members (`{"OFMF": …}`), when there are any.
+    #[serde(rename = "Oem", default, skip_serializing_if = "Option::is_none")]
+    pub oem: Option<Value>,
 }
 
 /// Link section of a log entry.
@@ -64,6 +69,7 @@ impl LogEntry {
             links: LogEntryLinks {
                 origin_of_condition: Link::to(origin.clone()),
             },
+            oem: None,
         }
     }
 }

@@ -8,20 +8,24 @@
 //! * [`handle_get`] — materializes the live observability surface under the
 //!   OFMF manager: `…/Managers/OFMF` is overlaid with an `Oem.OFMF`
 //!   summary, `…/Managers/OFMF/MetricReports/live` renders the current
-//!   registry snapshot as a `MetricReport`, and
-//!   `…/LogServices/Observability/Entries` exposes the event ring as
-//!   `LogEntry` resources. These documents are synthesized per GET — they
-//!   are never stored in the tree, so the tree's link-closure invariant
-//!   holds while the data stays live.
+//!   registry snapshot as a `MetricReport`, and three rings are served as
+//!   `LogEntry` collections by one renderer: `…/LogServices/EventLog` (the
+//!   event service's log), `…/Observability` (the obs event ring) and
+//!   `…/Tracing` (the flight recorder). These documents are synthesized per
+//!   GET — they are never stored in the tree, so the tree's link-closure
+//!   invariant holds while the data stays live.
 
 use crate::http::{Method, Response};
+use crate::query::QueryOptions;
 use ofmf_core::Ofmf;
-use ofmf_obs::{Counter, Gauge, Histogram, Severity};
+use ofmf_obs::{Counter, Gauge, Histogram, RecordedTrace, RingEvent, Severity};
 use redfish_model::odata::ODataId;
 use redfish_model::path::top;
+use redfish_model::resources::events::EventRecord;
 use redfish_model::resources::log::LogEntry;
 use redfish_model::resources::telemetry::{MetricReport, MetricValue};
 use redfish_model::resources::Resource;
+use redfish_model::RedfishError;
 use serde_json::{json, Value};
 use std::sync::{Arc, OnceLock};
 
@@ -115,22 +119,29 @@ fn live_report_id() -> ODataId {
 /// Serve the synthesized observability resources. Returns `None` for paths
 /// outside the observability surface (the router falls through to the
 /// stored tree).
-pub(crate) fn handle_get(ofmf: &Ofmf, path: &ODataId) -> Option<Response> {
+pub(crate) fn handle_get(ofmf: &Ofmf, path: &ODataId, opts: &QueryOptions) -> Option<Response> {
     let p = path.as_str().trim_end_matches('/');
+    let ring = || ofmf_obs::global().ring().recent();
+    let recorder = ofmf_obs::recorder();
     match p {
         top::OFMF_MANAGER => Some(manager_overlay(ofmf, path)),
         top::OBS_METRIC_REPORTS => Some(report_collection()),
         _ if p == live_report_id().as_str() => Some(live_report()),
-        top::OBS_LOG_ENTRIES => Some(ring_collection()),
-        top::OBS_TRACE_ENTRIES => Some(trace_collection()),
+        top::EVENT_LOG_ENTRIES => Some(log_collection(p, "Event Log Entries", &ofmf.events.log(), opts)),
+        top::OBS_LOG_ENTRIES => Some(log_collection(p, "Observability Events", &ring(), opts)),
+        top::OBS_TRACE_ENTRIES => Some(log_collection(p, "Flight Recorder Traces", &recorder.recent(), opts)),
         _ => {
-            let parent = path.parent()?;
-            if parent.as_str() == top::OBS_LOG_ENTRIES {
-                Some(ring_entry(path.leaf()))
-            } else if parent.as_str() == top::OBS_TRACE_ENTRIES {
-                Some(trace_entry(path.leaf()))
-            } else {
-                None
+            let id = path.leaf();
+            let n = id.parse::<u64>().ok();
+            match path.parent()?.as_str() {
+                top::EVENT_LOG_ENTRIES => Some(log_entry(
+                    path,
+                    ofmf.events.log().into_iter().find(|r| r.event_id == id),
+                    opts,
+                )),
+                top::OBS_LOG_ENTRIES => Some(log_entry(path, ring().into_iter().find(|e| Some(e.seq) == n), opts)),
+                top::OBS_TRACE_ENTRIES => Some(log_entry(path, n.and_then(|n| recorder.get(n)), opts)),
+                _ => None,
             }
         }
     }
@@ -273,122 +284,134 @@ fn live_report() -> Response {
     Response::json(200, &report.to_value())
 }
 
-/// `GET …/LogServices/Observability/Entries`: ring events as a collection.
-fn ring_collection() -> Response {
-    let events = ofmf_obs::global().ring().recent();
-    let members: Vec<Value> = events
-        .iter()
-        .map(|e| json!({"@odata.id": ODataId::new(top::OBS_LOG_ENTRIES).child(&e.seq.to_string()).as_str()}))
-        .collect();
-    Response::json(
-        200,
-        &json!({
-            "@odata.id": top::OBS_LOG_ENTRIES,
-            "@odata.type": "#LogEntryCollection.LogEntryCollection",
-            "Name": "Observability Events",
-            "Members": members,
-            "Members@odata.count": members.len(),
-        }),
-    )
+/// One entry of a synthesized `LogEntry` collection: the event log, the
+/// observability ring or the flight recorder.
+trait AsLogEntry {
+    /// The entry's `Id`, the last segment of its path.
+    fn id(&self) -> String;
+    /// The entry as a `LogEntry` under `collection`.
+    fn log_entry(&self, collection: &ODataId) -> LogEntry;
 }
 
-/// `GET …/Entries/{seq}`: one ring event as a `LogEntry` (404 once
-/// evicted).
-fn ring_entry(seq: &str) -> Response {
-    let collection = ODataId::new(top::OBS_LOG_ENTRIES);
-    let Some(ev) = seq
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| ofmf_obs::global().ring().recent().into_iter().find(|e| e.seq == n))
-    else {
-        return crate::router::error_response(&redfish_model::RedfishError::NotFound(collection.child(seq)));
-    };
-    let message = match ev.trace_id {
-        Some(tid) => format!("{}: {} (trace {tid})", ev.target, ev.message),
-        None => format!("{}: {}", ev.target, ev.message),
-    };
-    let entry = LogEntry::event(
-        &collection,
-        &ev.seq.to_string(),
-        ev.severity.as_str(),
-        &message,
-        "OFMF.1.0.ObservabilityEvent",
-        &ODataId::new(top::OFMF_MANAGER),
-        ev.unix_ms,
-    );
-    let mut body = entry.to_value();
-    // Join: when the flight recorder retained the originating trace, the
-    // entry links straight to it.
-    if let Some(tid) = ev.trace_id {
-        if ofmf_obs::recorder().get(tid).is_some() {
-            if let Value::Object(map) = &mut body {
-                map.insert(
-                    "Oem".to_string(),
-                    json!({"OFMF": {"Trace": {
-                        "TraceId": tid,
-                        "@odata.id": ODataId::new(top::OBS_TRACE_ENTRIES).child(&tid.to_string()).as_str(),
-                    }}}),
-                );
+/// The event log: `Id` is the record's `EventId`.
+impl AsLogEntry for EventRecord {
+    fn id(&self) -> String {
+        self.event_id.clone()
+    }
+
+    fn log_entry(&self, collection: &ODataId) -> LogEntry {
+        LogEntry::event(
+            collection,
+            &self.event_id,
+            &self.severity,
+            &self.message,
+            &self.message_id,
+            &self.origin_of_condition.odata_id,
+            self.event_timestamp,
+        )
+    }
+}
+
+/// The observability ring: `Id` is the event's sequence number.
+impl AsLogEntry for RingEvent {
+    fn id(&self) -> String {
+        self.seq.to_string()
+    }
+
+    fn log_entry(&self, collection: &ODataId) -> LogEntry {
+        let message = match self.trace_id {
+            Some(tid) => format!("{}: {} (trace {tid})", self.target, self.message),
+            None => format!("{}: {}", self.target, self.message),
+        };
+        let mut entry = LogEntry::event(
+            collection,
+            &self.id(),
+            self.severity.as_str(),
+            &message,
+            "OFMF.1.0.ObservabilityEvent",
+            &ODataId::new(top::OFMF_MANAGER),
+            self.unix_ms,
+        );
+        // Join: when the flight recorder retained the originating trace, the
+        // entry links straight to it.
+        let retained = self.trace_id.filter(|tid| ofmf_obs::recorder().get(*tid).is_some());
+        let link = |tid: u64| {
+            let trace = ODataId::new(top::OBS_TRACE_ENTRIES).child(&tid.to_string());
+            json!({"OFMF": {"Trace": {"TraceId": tid, "@odata.id": trace.as_str()}}})
+        };
+        entry.oem = retained.map(link);
+        entry
+    }
+}
+
+/// The flight recorder: `Id` is the trace id, and `Oem.OFMF.Trace` carries
+/// the full span tree.
+impl AsLogEntry for RecordedTrace {
+    fn id(&self) -> String {
+        self.trace_id.to_string()
+    }
+
+    fn log_entry(&self, collection: &ODataId) -> LogEntry {
+        let message = format!(
+            "{}: {:.3} ms, {} spans ({})",
+            self.route,
+            self.duration_ns as f64 / 1e6,
+            self.spans.len(),
+            self.reason.as_str()
+        );
+        let severity = if self.errored { "Critical" } else { "OK" };
+        let mut entry = LogEntry::event(
+            collection,
+            &self.id(),
+            severity,
+            &message,
+            "OFMF.1.0.TraceRecord",
+            &ODataId::new(top::OFMF_MANAGER),
+            self.started_unix_ms,
+        );
+        entry.oem = Some(json!({"OFMF": {"Trace": trace_json(self)}}));
+        entry
+    }
+}
+
+/// `GET` of a synthesized `LogEntry` collection, oldest entry first: member
+/// links, or the entries themselves under `$expand`; `$select`, `$top` and
+/// `$skip` apply as they do to a stored collection.
+fn log_collection<T: AsLogEntry>(path: &str, name: &str, entries: &[T], opts: &QueryOptions) -> Response {
+    let collection = ODataId::new(path);
+    let members: Vec<Value> = entries
+        .iter()
+        .map(|e| {
+            if opts.expand {
+                e.log_entry(&collection).to_value()
+            } else {
+                json!({"@odata.id": collection.child(&e.id()).as_str()})
             }
-        }
-    }
-    Response::json(200, &body)
-}
-
-/// `GET …/LogServices/Tracing/Entries`: retained flight-recorder traces.
-fn trace_collection() -> Response {
-    let traces = ofmf_obs::recorder().recent();
-    let members: Vec<Value> = traces
-        .iter()
-        .map(|t| json!({"@odata.id": ODataId::new(top::OBS_TRACE_ENTRIES).child(&t.trace_id.to_string()).as_str()}))
+        })
         .collect();
-    Response::json(
-        200,
-        &json!({
-            "@odata.id": top::OBS_TRACE_ENTRIES,
-            "@odata.type": "#LogEntryCollection.LogEntryCollection",
-            "Name": "Flight Recorder Traces",
-            "Members": members,
-            "Members@odata.count": members.len(),
-        }),
-    )
+    let count = members.len();
+    let body = json!({
+        "@odata.id": path,
+        "@odata.type": "#LogEntryCollection.LogEntryCollection",
+        "Name": name,
+        "Members": members,
+        "Members@odata.count": count,
+    });
+    Response::json(200, &opts.apply(body))
 }
 
-/// `GET …/Tracing/Entries/{trace_id}`: one retained span tree as a
-/// `LogEntry` whose `Oem.OFMF.Trace` carries the full tree (404 once
-/// evicted).
-fn trace_entry(id: &str) -> Response {
-    let collection = ODataId::new(top::OBS_TRACE_ENTRIES);
-    let Some(t) = id.parse::<u64>().ok().and_then(|n| ofmf_obs::recorder().get(n)) else {
-        return crate::router::error_response(&redfish_model::RedfishError::NotFound(collection.child(id)));
-    };
-    let message = format!(
-        "{}: {:.3} ms, {} spans ({})",
-        t.route,
-        t.duration_ns as f64 / 1e6,
-        t.spans.len(),
-        t.reason.as_str()
-    );
-    let severity = if t.errored { "Critical" } else { "OK" };
-    let entry = LogEntry::event(
-        &collection,
-        id,
-        severity,
-        &message,
-        "OFMF.1.0.TraceRecord",
-        &ODataId::new(top::OFMF_MANAGER),
-        t.started_unix_ms,
-    );
-    let mut body = entry.to_value();
-    if let Value::Object(map) = &mut body {
-        map.insert("Oem".to_string(), json!({"OFMF": {"Trace": trace_json(&t)}}));
+/// `GET …/Entries/{Id}` of a synthesized collection: the entry, or 404 once
+/// its ring has evicted it.
+fn log_entry<T: AsLogEntry>(path: &ODataId, entry: Option<T>, opts: &QueryOptions) -> Response {
+    match (entry, path.parent()) {
+        (Some(e), Some(collection)) => Response::json(200, &opts.apply(e.log_entry(&collection).to_value())),
+        _ => crate::router::error_response(&RedfishError::NotFound(path.clone())),
     }
-    Response::json(200, &body)
 }
 
 /// Render a recorded trace as plain JSON (the CLI re-renders this as a
 /// tree with self-time and the critical path).
-fn trace_json(t: &ofmf_obs::RecordedTrace) -> Value {
+fn trace_json(t: &RecordedTrace) -> Value {
     let spans: Vec<Value> = t
         .spans
         .iter()

@@ -123,8 +123,12 @@ impl Router {
     }
 
     fn get(&self, req: &Request, path: &ODataId) -> Response {
+        let opts = match crate::query::QueryOptions::parse(req.query.as_deref().unwrap_or("")) {
+            Ok(o) => o,
+            Err(e) => return error_response(&e),
+        };
         // Live observability surface (synthesized per GET, never stored).
-        if let Some(resp) = crate::obs::handle_get(&self.ofmf, path) {
+        if let Some(resp) = crate::obs::handle_get(&self.ofmf, path, &opts) {
             return resp;
         }
         // Subscription event drain: GET …/Subscriptions/{id}/Events
@@ -142,10 +146,6 @@ impl Router {
                 return self.drain_subscription(parent.leaf(), wait_ms);
             }
         }
-        let opts = match crate::query::QueryOptions::parse(req.query.as_deref().unwrap_or("")) {
-            Ok(o) => o,
-            Err(e) => return error_response(&e),
-        };
         if opts.expand {
             let bytes = match self.ofmf.registry.expand(path) {
                 Ok(bytes) => bytes,

@@ -4,8 +4,13 @@
 //! both wire backends wherever the behavior is backend-agnostic.
 
 use ofmf_agents::flavors::{cxl_agent, RackShape};
+use ofmf_core::events::EVENT_LOG_CAP;
 use ofmf_core::Ofmf;
+use ofmf_obs::Severity;
 use ofmf_rest::{Backend, RestServer, Router, ServerConfig};
+use redfish_model::odata::ODataId;
+use redfish_model::resources::events::EventType;
+use serde_json::Value;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -16,11 +21,16 @@ use std::time::{Duration, Instant};
 const BACKENDS: [Backend; 2] = [Backend::Epoll, Backend::ThreadPool];
 
 fn boot(backend: Backend, workers: usize, max_connections: usize) -> RestServer {
+    boot_with_ofmf(backend, workers, max_connections).0
+}
+
+/// [`boot`], keeping a handle on the OFMF behind the server.
+fn boot_with_ofmf(backend: Backend, workers: usize, max_connections: usize) -> (RestServer, Arc<Ofmf>) {
     let ofmf = Ofmf::new_wall("wire-it", HashMap::new(), 11);
     ofmf.register_agent(Arc::new(cxl_agent("CXL0", &RackShape::default(), 1 << 20, 4)))
         .unwrap();
-    let router = Arc::new(Router::new(ofmf, false));
-    RestServer::start_with(
+    let router = Arc::new(Router::new(Arc::clone(&ofmf), false));
+    let server = RestServer::start_with(
         "127.0.0.1:0",
         router,
         ServerConfig {
@@ -29,7 +39,8 @@ fn boot(backend: Backend, workers: usize, max_connections: usize) -> RestServer 
             backend,
         },
     )
-    .unwrap()
+    .unwrap();
+    (server, ofmf)
 }
 
 /// A raw client connection that parses HTTP responses out of a byte buffer,
@@ -426,6 +437,92 @@ fn hostile_json_bodies_are_refused_and_the_next_connection_is_served() {
             started.elapsed() < Duration::from_secs(5),
             "{backend:?}: {:?}",
             started.elapsed()
+        );
+        server.shutdown();
+    }
+}
+
+/// The three `LogEntry` collections the service synthesizes from rings —
+/// the event log, the observability ring and the flight recorder — honour
+/// `$expand=.` as a stored collection does, and an entry its ring has
+/// evicted is a Redfish 404.
+#[test]
+fn log_collections_expand_and_an_evicted_entry_is_404() {
+    fn json(r: &Resp) -> Value {
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        serde_json::from_slice(&r.body).unwrap()
+    }
+    for backend in BACKENDS {
+        let (server, ofmf) = boot_with_ofmf(backend, 2, 4096);
+        let mut w = Wire::connect(&server);
+        // One entry in each ring besides the agent's registration event.
+        ofmf_obs::global()
+            .ring()
+            .emit(Severity::Warning, "ofmf.test", format!("{backend:?} expand"));
+        w.send(b"GET /redfish/v1 HTTP/1.1\r\nHost: t\r\nX-OFMF-Trace: 1\r\n\r\n");
+        let traced = w.response();
+        let trace_id = traced.header("x-ofmf-traceid").unwrap().to_string();
+
+        for (log, wanted) in [
+            ("EventLog", "fabric CXL0 registered".to_string()),
+            ("Observability", format!("{backend:?} expand")),
+            ("Tracing", "Get /redfish/v1".to_string()),
+        ] {
+            let path = format!("/redfish/v1/Managers/OFMF/LogServices/{log}/Entries");
+            w.send(get(&format!("{path}?$expand=.")).as_bytes());
+            let expanded = json(&w.response());
+            let members = expanded["Members"].as_array().unwrap();
+            assert_eq!(expanded["Members@odata.count"], members.len(), "{backend:?} {log}");
+            for m in members {
+                assert_eq!(m["@odata.type"], "#LogEntry.v1_15_0.LogEntry", "{backend:?} {log}: {m}");
+                let id = m["Id"].as_str().unwrap();
+                assert_eq!(m["@odata.id"], format!("{path}/{id}"), "{backend:?} {log}");
+            }
+            assert!(
+                members.iter().any(|m| m["Message"].as_str().unwrap().contains(&wanted)),
+                "{backend:?} {log}: no entry says {wanted:?}"
+            );
+            if log == "Tracing" {
+                assert!(members.iter().any(|m| m["Id"] == trace_id.as_str()), "{backend:?}");
+            }
+        }
+
+        // The event log is this OFMF's own: its links and expansion agree
+        // member for member.
+        let path = "/redfish/v1/Managers/OFMF/LogServices/EventLog/Entries";
+        w.send(get(path).as_bytes());
+        let links = json(&w.response());
+        w.send(get(&format!("{path}?$expand=.")).as_bytes());
+        let expanded = json(&w.response());
+        let ids = |v: &Value| -> Vec<Value> {
+            v["Members"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|m| m["@odata.id"].clone())
+                .collect()
+        };
+        assert_eq!(ids(&links), ids(&expanded), "{backend:?}");
+
+        // Publish a full log's worth: the first entry is evicted.
+        let first = ids(&links)[0].as_str().unwrap().to_string();
+        w.send(get(&first).as_bytes());
+        assert_eq!(w.response().status, 200, "{backend:?}");
+        for i in 0..EVENT_LOG_CAP {
+            ofmf.events.publish(
+                EventType::ResourceUpdated,
+                &ODataId::new("/redfish/v1/Systems"),
+                format!("filler {i}"),
+                "OK",
+            );
+        }
+        w.send(get(&first).as_bytes());
+        let evicted = w.response();
+        assert_eq!(evicted.status, 404, "{backend:?}");
+        assert!(
+            evicted.body_text().contains("Base.1.0.ResourceMissingAtURI"),
+            "{backend:?}: {}",
+            evicted.body_text()
         );
         server.shutdown();
     }

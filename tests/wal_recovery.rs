@@ -3,10 +3,14 @@
 //! resumes — tree, sessions, subscriptions, clock baseline and live
 //! compositions all where the previous process left them. Reads are the
 //! exception that proves the rule: an authenticated GET journals nothing,
-//! and what a crash costs a busy session's idle timer is bounded.
+//! and what a crash costs a busy session's idle timer is bounded. So is the
+//! event log: an event journals nothing beyond the state change it reports.
 
 use composer::{Composer, CompositionRequest, Strategy};
+use fabric_sim::failure::Fault;
+use fabric_sim::ids::LinkId;
 use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
+use ofmf_core::telemetry::Threshold;
 use ofmf_core::{Agent, Ofmf};
 use ofmf_rest::http::{HttpVersion, Method, Request};
 use ofmf_rest::Router;
@@ -124,9 +128,8 @@ fn full_stack_survives_a_restart() {
     assert_eq!(user, "admin");
     assert_eq!(ofmf.sessions.session_count(), 1);
 
-    // The subscription is back (plus the internal event-log tap) and its
-    // document is in the tree.
-    assert_eq!(ofmf.events.subscription_count(), 2);
+    // The subscription is back and its document is in the tree.
+    assert_eq!(ofmf.events.subscription_count(), 1);
     let sub_doc = ofmf
         .registry
         .get(&ODataId::new("/redfish/v1/EventService/Subscriptions").child(&sub_id))
@@ -392,6 +395,67 @@ fn restored_session_deadline_is_within_one_granule() {
     ofmf.clock.advance_ms(1);
     assert_eq!(ofmf.sessions.sweep_expired(&ofmf.registry), 1, "reaped 1 ms past it");
     assert!(ofmf.sessions.authenticate(&ofmf.registry, &token).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The event log costs the journal nothing: a poll that forwards agent
+/// faults and trips a telemetry threshold appends the agents' status patches
+/// and at most one `ClockMark` — no record per event — and the tree a restart
+/// replays holds no `LogEntry` and no dangling link.
+#[test]
+fn a_poll_journals_status_patches_and_no_record_per_event() {
+    let dir = fresh_dir("event-budget");
+    let faults = 6;
+    {
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Off).expect("open"));
+        let ofmf = Ofmf::with_wal("ofmf-events", HashMap::new(), 7008, Arc::clone(&wal)).expect("boot");
+        let cxl = Arc::new(cxl_agent("CXL0", &RackShape::default(), 1 << 20, 7008));
+        ofmf.register_agent(Arc::clone(&cxl) as Arc<dyn Agent>)
+            .expect("register");
+        // Every switch temperature sample trips it.
+        ofmf.telemetry.add_threshold(Threshold {
+            metric_id: "TemperatureCelsius".to_string(),
+            upper: 0.0,
+            severity: "Warning".to_string(),
+        });
+        for l in 0..faults {
+            cxl.inject_fault(Fault::LinkDown(LinkId(l as u32)));
+        }
+        ofmf.clock.advance_ms(1000);
+        let journaled = wal.replay().expect("read back").records.len();
+        let logged = ofmf.events.log().len();
+
+        assert_eq!(ofmf.poll(), faults, "one agent event per fault");
+        let records = wal.replay().expect("read back").records;
+        let appended = &records[journaled..];
+        let patches = appended
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Patch { id, .. } if id.starts_with("/redfish/v1/Fabrics/CXL0/")))
+            .count();
+        let marks = appended
+            .iter()
+            .filter(|r| matches!(r, WalRecord::ClockMark { .. }))
+            .count();
+        assert_eq!(patches, faults, "one status patch per fault: {appended:?}");
+        assert!(marks <= 1);
+        assert_eq!(appended.len(), patches + marks, "nothing else: {appended:?}");
+        let published = ofmf.events.log().len() - logged;
+        assert!(
+            published > faults,
+            "the threshold alerts are logged too: {published} events"
+        );
+    }
+
+    let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Off).expect("reopen"));
+    let ofmf = Ofmf::with_wal("ofmf-events", HashMap::new(), 7008, wal).expect("recovery boot");
+    assert!(ofmf.was_recovered());
+    let mut log_entries = 0;
+    ofmf.registry.for_each(|_, stored| {
+        log_entries += usize::from(stored.odata_type().is_some_and(|t| t.starts_with("#LogEntry.")));
+    });
+    assert_eq!(log_entries, 0, "no LogEntry was journaled");
+    assert!(ofmf.registry.dangling_links().is_empty());
+    assert!(ofmf.events.log().is_empty(), "the log starts empty after a restart");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
