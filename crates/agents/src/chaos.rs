@@ -105,7 +105,6 @@ pub struct ChaosAgent {
     /// Counters (test observation).
     dropped: AtomicU64,
     duplicated: AtomicU64,
-    flapped: AtomicU64,
 }
 
 impl ChaosAgent {
@@ -121,7 +120,6 @@ impl ChaosAgent {
             clock: None,
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
-            flapped: AtomicU64::new(0),
         }
     }
 
@@ -157,11 +155,6 @@ impl ChaosAgent {
     /// Ops delivered twice so far.
     pub fn duplicated_ops(&self) -> u64 {
         self.duplicated.load(Ordering::Acquire)
-    }
-
-    /// Heartbeats flapped so far.
-    pub fn flapped_heartbeats(&self) -> u64 {
-        self.flapped.load(Ordering::Acquire)
     }
 
     fn draw(&self, p: f64) -> bool {
@@ -224,14 +217,8 @@ impl Agent for ChaosAgent {
     }
 
     fn heartbeat(&self) -> bool {
-        if self.is_down() {
-            return false;
-        }
-        if self.draw(self.cfg.flap_rate) {
-            self.flapped.fetch_add(1, Ordering::AcqRel);
-            return false;
-        }
-        self.inner.heartbeat()
+        // A down agent draws nothing, so a flap schedule resumes where it was.
+        !self.is_down() && !self.draw(self.cfg.flap_rate) && self.inner.heartbeat()
     }
 }
 

@@ -5,20 +5,18 @@
 //!
 //! * A criterion group timing single-connection request kinds (plus the
 //!   observability ablation).
-//! * A self-timed concurrency sweep pitting the epoll event loop against
-//!   the thread-pool baseline at 64–1024 concurrent keep-alive
-//!   connections, reporting aggregate req/s, how many of the clients were
-//!   ever served (the thread-pool collapse mode is starvation: its workers
-//!   pin to the first few keep-alive connections), and request-latency
-//!   percentiles across the served population. A final scenario runs the
-//!   event loop over its connection cap and counts `503` sheds.
+//! * A self-timed concurrency sweep of the epoll event loop at 64–1024
+//!   concurrent keep-alive connections, reporting aggregate req/s, how many
+//!   of the clients were ever served, and request-latency percentiles
+//!   across the served population. A final scenario runs the event loop
+//!   over its connection cap and counts `503` sheds.
 //!
 //! `OFMF_BENCH_QUICK=1` shrinks sample counts, window lengths and the
 //! sweep so CI can smoke-run the full harness.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ofmf_bench::bench_rig;
-use ofmf_rest::{Backend, HttpClient, RestServer, Router, ServerConfig};
+use ofmf_rest::{HttpClient, RestServer, Router, ServerConfig};
 use serde_json::json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -87,20 +85,6 @@ fn bench_rest(c: &mut Criterion) {
             assert_eq!(r.status, 200);
         });
         ofmf_obs::set_enabled(true);
-    });
-
-    // Backend ablation: the same hot GET served by the blocking thread-pool
-    // baseline instead of the epoll event loop.
-    group.bench_function("get_system_threadpool", |b| {
-        let pool = RestServer::start_thread_pool("127.0.0.1:0", Arc::new(Router::new(Arc::clone(&ofmf), false)), 4)
-            .expect("bind");
-        let mut client = HttpClient::new(pool.addr());
-        b.iter(|| {
-            let r = client.get("/redfish/v1/Systems/cn00").unwrap();
-            assert_eq!(r.status, 200);
-        });
-        drop(client);
-        pool.shutdown();
     });
 
     group.finish();
@@ -258,13 +242,6 @@ fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[idx.min(sorted_ns.len() - 1)] as f64 / 1e6
 }
 
-fn backend_label(b: Backend) -> &'static str {
-    match b {
-        Backend::Epoll => "epoll",
-        Backend::ThreadPool => "threads",
-    }
-}
-
 fn sweep_concurrency(_c: &mut Criterion) {
     println!("\n== rest_concurrency ==");
     let (conn_counts, warmup, window): (&[usize], _, _) = if quick() {
@@ -273,34 +250,22 @@ fn sweep_concurrency(_c: &mut Criterion) {
         (&[64, 256, 1024], Duration::from_millis(300), Duration::from_secs(2))
     };
 
-    for backend in [Backend::ThreadPool, Backend::Epoll] {
-        for &conns in conn_counts {
-            let ofmf = bench_rig(8, 2, 3);
-            let router = Arc::new(Router::new(Arc::clone(&ofmf), false));
-            let server = RestServer::start_with(
-                "127.0.0.1:0",
-                router,
-                ServerConfig {
-                    workers: 4,
-                    max_connections: 4096,
-                    backend,
-                },
-            )
-            .expect("bind");
-            let r = drive_clients(server.addr(), conns, warmup, window);
-            let secs = r.window.as_secs_f64();
-            let rps = r.completed as f64 / secs;
-            let median_client = r.per_client.get(r.per_client.len() / 2).copied().unwrap_or(0) as f64 / secs;
-            println!(
-                "rest_concurrency/{}/{conns}: {rps:.0} req/s, served {}/{conns} clients, \
-                 median client {median_client:.0} req/s, p50 {:.2} ms, p99 {:.2} ms",
-                backend_label(backend),
-                r.served_clients,
-                percentile_ms(&r.latencies_ns, 0.50),
-                percentile_ms(&r.latencies_ns, 0.99),
-            );
-            server.shutdown();
-        }
+    for &conns in conn_counts {
+        let ofmf = bench_rig(8, 2, 3);
+        let router = Arc::new(Router::new(Arc::clone(&ofmf), false));
+        let server = RestServer::start("127.0.0.1:0", router, 4).expect("bind");
+        let r = drive_clients(server.addr(), conns, warmup, window);
+        let secs = r.window.as_secs_f64();
+        let rps = r.completed as f64 / secs;
+        let median_client = r.per_client.get(r.per_client.len() / 2).copied().unwrap_or(0) as f64 / secs;
+        println!(
+            "rest_concurrency/epoll/{conns}: {rps:.0} req/s, served {}/{conns} clients, \
+             median client {median_client:.0} req/s, p50 {:.2} ms, p99 {:.2} ms",
+            r.served_clients,
+            percentile_ms(&r.latencies_ns, 0.50),
+            percentile_ms(&r.latencies_ns, 0.99),
+        );
+        server.shutdown();
     }
 
     // Over-cap behavior: the event loop must answer — not queue — beyond
@@ -315,7 +280,7 @@ fn sweep_concurrency(_c: &mut Criterion) {
         ServerConfig {
             workers: 4,
             max_connections: cap,
-            backend: Backend::Epoll,
+            ..ServerConfig::default()
         },
     )
     .expect("bind");

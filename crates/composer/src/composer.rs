@@ -160,13 +160,6 @@ impl Composer {
         }
     }
 
-    /// Override the policy set.
-    #[must_use]
-    pub fn with_policy(mut self, policy: PolicySet) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The strategy in use.
     pub fn strategy(&self) -> Strategy {
         self.strategy
@@ -366,8 +359,6 @@ impl Composer {
         let initiator = endpoints
             .get(fabric)
             .ok_or_else(|| RedfishError::Internal(format!("node lost its endpoint on fabric {fabric}")))?;
-        // Power-gated pool devices are woken on demand before binding.
-        crate::energy::wake_backing(self, target_ep);
         let fabric_root = ODataId::new(top::FABRICS).child(fabric);
         let zone = self.ofmf.post(
             &fabric_root.child("Zones"),
@@ -847,10 +838,11 @@ impl Composer {
     }
 
     /// Attach this composer to its OFMF: its live compositions join every
-    /// WAL snapshot, and every [`Ofmf::poll`] runs the repair pass
-    /// ([`Composer::reconcile`]) after draining agent events. Held through a
-    /// `Weak`, so the OFMF (owned by the composer) never keeps the composer
-    /// alive in a reference cycle.
+    /// WAL snapshot, every [`Ofmf::poll`] runs the repair pass
+    /// ([`Composer::reconcile`]) after draining agent events, and
+    /// [`Ofmf::delete`] of a composed system runs [`Composer::decompose`].
+    /// Held through a `Weak`, so the OFMF (owned by the composer) never
+    /// keeps the composer alive in a reference cycle.
     pub fn attach_snapshot_provider(self: &Arc<Self>) {
         let this: Arc<dyn Compositions> = Arc::clone(self) as Arc<dyn Compositions>;
         self.ofmf.attach_compositions(Arc::downgrade(&this));
@@ -864,6 +856,10 @@ impl Compositions for Composer {
 
     fn reconcile(&self) -> (usize, usize) {
         Composer::reconcile(self)
+    }
+
+    fn decompose(&self, system: &ODataId) -> RedfishResult<()> {
+        Composer::decompose(self, system)
     }
 }
 

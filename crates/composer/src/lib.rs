@@ -12,25 +12,21 @@
 //!   [`request::ComposedSystem`] records.
 //! * [`strategy`] — allocation strategies: first-fit, best-fit and
 //!   topology-aware (hop-minimizing via agent route probes).
-//! * [`policy`] — placement policies: anti-affinity spreading, consolidation
-//!   for power-gating, capacity headroom.
+//! * [`policy`] — placement policies: capacity headroom, carve floors and
+//!   bounded memory spreading.
 //! * [`composer`] — the [`composer::Composer`] itself: compose / decompose,
 //!   dynamic reprovisioning (grow memory under OOM pressure, attach storage
 //!   under I/O thrash), and event-driven fail-over recovery.
 //! * [`accounting`] — stranded-resource and energy accounting comparing
 //!   composable against statically provisioned infrastructure (Fig. 1).
-//! * [`blocks`] — publishes the inventory as standard Redfish
-//!   `ResourceBlock`s under the CompositionService.
-//! * [`energy`] — power-gates fully idle pool devices and wakes them on
-//!   demand.
+//! * [`probe`] — batched, cached route probes the topology-aware strategy
+//!   scores placements with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod blocks;
 pub mod composer;
-pub mod energy;
 pub mod inventory;
 pub mod policy;
 pub mod probe;

@@ -23,7 +23,6 @@
 //!   per-subscriber delivery queues.
 //! * [`telemetry`] — metric ingestion, windowed aggregation, report
 //!   generation and threshold alerting.
-//! * [`tasks`] — long-running operations exposed as Redfish `Task`s.
 //! * [`sessions`] — token-authenticated sessions.
 //! * [`supervisor`] — per-agent circuit breakers, deadline/retry dispatch
 //!   and the teardown replay journal that keep one flaky Agent from taking
@@ -41,7 +40,6 @@ pub mod events;
 pub mod ofmf;
 pub mod sessions;
 pub mod supervisor;
-pub mod tasks;
 pub mod telemetry;
 pub mod tree;
 
@@ -50,5 +48,4 @@ pub use clock::Clock;
 pub use events::EventService;
 pub use ofmf::Ofmf;
 pub use supervisor::{AgentSupervisor, BreakerState, SupervisorConfig};
-pub use tasks::TaskService;
 pub use telemetry::TelemetryService;

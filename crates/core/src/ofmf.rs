@@ -12,7 +12,6 @@ use crate::clock::Clock;
 use crate::events::EventService;
 use crate::sessions::SessionService;
 use crate::supervisor::{self, AgentSupervisor, BreakerState, SupervisorConfig};
-use crate::tasks::TaskService;
 use crate::telemetry::TelemetryService;
 use crate::tree;
 use ofmf_wal::{Wal, WalRecord};
@@ -71,8 +70,6 @@ pub struct Ofmf {
     pub events: Arc<EventService>,
     /// Telemetry service.
     pub telemetry: Arc<TelemetryService>,
-    /// Task service.
-    pub tasks: Arc<TaskService>,
     /// Session service.
     pub sessions: Arc<SessionService>,
     agents: RwLock<HashMap<String, AgentEntry>>,
@@ -102,6 +99,10 @@ pub trait Compositions: Send + Sync {
     fn snapshot_records(&self) -> Vec<WalRecord>;
     /// The repair pass; returns `(repaired, still_lost)` binding counts.
     fn reconcile(&self) -> (usize, usize);
+    /// Tear down the composition whose system document is `system`;
+    /// `NotFound` when `system` is not a live composition. Deletes the
+    /// document itself, through the registry rather than [`Ofmf::delete`].
+    fn decompose(&self, system: &ODataId) -> RedfishResult<()>;
 }
 
 /// Live-log size past which [`Ofmf::poll`] writes a compacting snapshot.
@@ -180,7 +181,6 @@ impl Ofmf {
         let registry = Arc::new(Registry::new().with_journal(wal.clone()));
         let events = Arc::new(EventService::new(Arc::clone(&clock)).with_journal(wal.clone()));
         let telemetry = Arc::new(TelemetryService::new(Arc::clone(&clock)));
-        let tasks = Arc::new(TaskService::new(Arc::clone(&clock)));
         let sessions = Arc::new(SessionService::new(Arc::clone(&clock), credentials, seed).with_journal(wal.clone()));
 
         // Replay whatever the journal holds. An empty journal (or no journal
@@ -252,7 +252,6 @@ impl Ofmf {
             clock,
             events,
             telemetry,
-            tasks,
             sessions,
             agents: RwLock::new(HashMap::new()),
             member_seq: AtomicU64::new(member_floor),
@@ -301,7 +300,8 @@ impl Ofmf {
     }
 
     /// Attach the layer that owns compositions: its records join every
-    /// snapshot, and every [`Ofmf::poll`] runs its repair pass. Held through
+    /// snapshot, every [`Ofmf::poll`] runs its repair pass, and
+    /// [`Ofmf::delete`] of a composed system decomposes it. Held through
     /// a `Weak`, so the OFMF — which that layer owns — never keeps it alive.
     pub fn attach_compositions(&self, layer: Weak<dyn Compositions>) {
         *self.compositions.write() = Some(layer);
@@ -1038,8 +1038,9 @@ impl Ofmf {
         Ok(())
     }
 
-    /// `DELETE` a resource. Fabric zones/connections route to the agent;
-    /// anything else deletes from the tree directly.
+    /// `DELETE` a resource. Fabric zones/connections route to the agent, a
+    /// composed system is decomposed by the attached [`Compositions`] layer,
+    /// and anything else deletes from the tree directly.
     pub fn delete(&self, path: &ODataId) -> RedfishResult<()> {
         let _span = ofmf_obs::Trace::begin(&tree_metrics().delete);
         let mut tspan = ofmf_obs::child_span("ofmf.tree.delete");
@@ -1064,6 +1065,16 @@ impl Ofmf {
                 self.events
                     .publish(EventType::ResourceRemoved, path, "connection removed", "OK");
                 return Ok(());
+            }
+        }
+        // A composed system is torn down by the layer that owns it; any
+        // other system falls through to a plain delete.
+        if path.as_str().rsplit_once('/').map(|(parent, _)| parent) == Some(top::SYSTEMS) {
+            if let Some(layer) = self.composition_layer() {
+                match layer.decompose(path) {
+                    Err(RedfishError::NotFound(_)) => {}
+                    done => return done,
+                }
             }
         }
         self.registry.delete(path)?;

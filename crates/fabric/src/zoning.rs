@@ -197,11 +197,6 @@ impl ZoningTable {
     pub fn zones(&self) -> impl Iterator<Item = (ZoneId, &ZoneState)> {
         self.zones.iter().map(|(k, v)| (*k, v))
     }
-
-    /// Connection count.
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   `ComputerSystem`, `Processor`, `Memory`/`MemoryDomain`/`MemoryChunks`,
 //!   Swordfish storage (`StorageService`, `StoragePool`, `Volume`, `Drive`),
 //!   fabric objects (`Fabric`, `Switch`, `Port`, `Endpoint`, `Zone`,
-//!   `Connection`, `AddressPool`), eventing, tasks, sessions, telemetry.
+//!   `Connection`, `AddressPool`), eventing, sessions, telemetry.
 //! * [`registry`] — the concurrent resource tree: create / read / merge-PATCH
 //!   / delete with ETag versioning, Redfish collection semantics and link
 //!   integrity checks.

@@ -15,7 +15,6 @@ pub mod service_root;
 pub mod session;
 pub mod storage;
 pub mod system;
-pub mod task;
 pub mod telemetry;
 
 use crate::odata::ODataId;
@@ -47,5 +46,4 @@ pub use service_root::ServiceRoot;
 pub use session::Session;
 pub use storage::{Capacity, Drive, StoragePool, StorageService, Volume};
 pub use system::ComputerSystem;
-pub use task::{Task, TaskState};
 pub use telemetry::{MetricReport, MetricValue};

@@ -108,13 +108,6 @@ impl Status {
         self.state = state;
         self
     }
-
-    /// Builder: set the health.
-    #[must_use]
-    pub fn with_health(mut self, health: Health) -> Status {
-        self.health = health;
-        self
-    }
 }
 
 #[cfg(test)]

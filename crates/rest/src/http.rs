@@ -4,18 +4,14 @@
 //! `Content-Length` body. Bodies are bounded; anything malformed is an
 //! explicit parse error that the server answers with the right 4xx.
 //!
-//! Two parsing front ends share the grammar:
-//!
-//! * [`read_request`] — blocking, for the thread-pool server and the test
-//!   client: pulls bytes from a `BufReader` until one request is complete.
-//! * [`parse_request`] — incremental, for the epoll event loop: given the
-//!   bytes buffered so far, either yields a complete request plus the
-//!   number of bytes it consumed, reports that more bytes are needed, or
-//!   rejects the connection — without ever blocking or polling.
+//! [`parse_request`] is incremental, for the epoll event loop: given the
+//! bytes buffered so far, it either yields a complete request plus the
+//! number of bytes it consumed, reports that more bytes are needed, or
+//! rejects the connection — without ever blocking or polling.
 
 use serde_json::json;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::sync::Arc;
 
 /// Largest accepted request body (1 MiB — Redfish payloads are small).
@@ -102,14 +98,9 @@ impl Request {
     }
 }
 
-/// Errors while reading a request.
+/// Errors while parsing a request.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ParseError {
-    /// Connection closed before a full request arrived.
-    ConnectionClosed,
-    /// A read timed out while the connection was idle (the server checks
-    /// its shutdown flag and resumes or closes).
-    IdleTimeout,
     /// The bytes are not valid HTTP.
     Malformed(&'static str),
     /// The body exceeds [`MAX_BODY`].
@@ -170,13 +161,6 @@ impl ParseError {
     }
 }
 
-fn io_err(e: std::io::Error) -> ParseError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ParseError::IdleTimeout,
-        _ => ParseError::ConnectionClosed,
-    }
-}
-
 /// The pieces of a parsed request head: method, path, query, version,
 /// lower-cased headers.
 type ParsedHead = (Method, String, Option<String>, HttpVersion, BTreeMap<String, String>);
@@ -227,7 +211,7 @@ fn declared_body_len(headers: &BTreeMap<String, String>) -> Result<usize, ParseE
 
 /// Find the header/body boundary in `buf`: returns `(head_len, body_start)`
 /// where `head_len` excludes the blank-line terminator. Accepts `\r\n\r\n`
-/// and bare `\n\n` (the blocking parser is equally lenient).
+/// and bare `\n\n`.
 fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
     let mut i = 0usize;
     while let Some(rest) = buf.get(i..) {
@@ -281,51 +265,6 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, ParseError>
         },
         body_end,
     )))
-}
-
-/// Read one request from `stream` (blocking front end).
-pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, ParseError> {
-    let mut line = String::new();
-    let n = match reader.read_line(&mut line) {
-        Ok(n) => n,
-        // A timeout with bytes already consumed would desync the stream on
-        // retry, so only a clean idle timeout is resumable.
-        Err(e) if line.is_empty() => return Err(io_err(e)),
-        Err(_) => return Err(ParseError::ConnectionClosed),
-    };
-    if n == 0 {
-        return Err(ParseError::ConnectionClosed);
-    }
-    let mut head = line;
-    let mut header_bytes = 0;
-    loop {
-        let mut h = String::new();
-        let n = reader.read_line(&mut h).map_err(|_| ParseError::ConnectionClosed)?;
-        if n == 0 {
-            return Err(ParseError::ConnectionClosed);
-        }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(ParseError::HeaderTooLarge);
-        }
-        let done = h.trim_end().is_empty();
-        head.push_str(&h);
-        if done {
-            break;
-        }
-    }
-    let (method, path, query, version, headers) = parse_head(head.trim_end())?;
-    let body_len = declared_body_len(&headers)?;
-    let mut body = vec![0u8; body_len];
-    reader.read_exact(&mut body).map_err(|_| ParseError::ConnectionClosed)?;
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-        version,
-    })
 }
 
 /// A response body: owned bytes, or a zero-copy handle into the registry's
@@ -513,10 +452,12 @@ pub fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
+    /// Parse one complete request that fills `raw` exactly.
     fn parse(raw: &str) -> Result<Request, ParseError> {
-        read_request(&mut BufReader::new(Cursor::new(raw.as_bytes().to_vec())))
+        let (req, consumed) = parse_request(raw.as_bytes())?.expect("a complete request");
+        assert_eq!(consumed, raw.len(), "the request must span the whole buffer");
+        Ok(req)
     }
 
     #[test]
@@ -588,8 +529,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_is_connection_closed() {
-        assert_eq!(parse("").unwrap_err(), ParseError::ConnectionClosed);
+    fn empty_buffer_needs_more_bytes() {
+        assert!(matches!(parse_request(b""), Ok(None)));
     }
 
     #[test]

@@ -1,55 +1,34 @@
-//! The REST server facade over two interchangeable wire backends.
-//!
-//! * [`Backend::Epoll`] (default on Linux) — the readiness event loop in
-//!   [`crate::event_loop`]: a shared acceptor, per-worker epoll instances,
-//!   per-connection state machines, incremental parsing, pipelining, and a
-//!   connection cap with 503 load-shedding. Thousands of idle keep-alive
-//!   connections cost nothing but memory.
-//! * [`Backend::ThreadPool`] — the original bounded worker pool: one
-//!   blocking thread per in-flight connection, a bounded crossbeam channel
-//!   for backpressure, and a 200 ms read-timeout poll so idle connections
-//!   can observe shutdown. Kept as the measured baseline for
-//!   `rest_throughput` and as the fallback on platforms without the raw
-//!   epoll facade.
-//!
-//! Both backends serve the same [`Router`] and record the same metrics, so
-//! everything above the socket layer is backend-agnostic.
+//! The REST server facade over the epoll readiness event loop in the
+//! private `event_loop` module: a shared acceptor, per-worker epoll instances,
+//! per-connection state machines, incremental parsing, pipelining, and a
+//! connection cap with 503 load-shedding. Thousands of idle keep-alive
+//! connections cost nothing but memory.
 
-use crate::http::read_request;
-use crate::router::Router;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 use crate::event_loop::EventLoopServer;
+use crate::router::Router;
+use std::net::SocketAddr;
+use std::sync::Arc;
 
-/// Maximum queued-but-unserved connections (thread-pool backend).
-const ACCEPT_BACKLOG: usize = 64;
-
-/// Which wire backend serves the sockets.
+/// Which wire backend serves the sockets. The event loop is the only one;
+/// the enum stays because `benchmark/src/rig.rs` names
+/// `Backend::Epoll`, and goes once that harness stops naming it
+/// (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Nonblocking readiness event loop (Linux; falls back to the thread
-    /// pool where the raw epoll facade is unavailable).
+    /// Nonblocking readiness event loop.
     Epoll,
-    /// Blocking bounded worker pool.
-    ThreadPool,
 }
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads (event-loop workers or pool threads).
+    /// Event-loop worker threads.
     pub workers: usize,
-    /// Concurrently open connections before the epoll backend sheds load
-    /// with `503` + `Retry-After` (ignored by the thread pool, which
-    /// back-pressures through its bounded accept queue instead).
+    /// Concurrently open connections before the server sheds load with
+    /// `503` + `Retry-After`.
     pub max_connections: usize,
-    /// The wire backend.
+    /// The wire backend: always [`Backend::Epoll`]. Kept because
+    /// `benchmark/src/rig.rs` sets it; ROADMAP item 1 deletes it.
     pub backend: Backend,
 }
 
@@ -63,20 +42,14 @@ impl Default for ServerConfig {
     }
 }
 
-enum Inner {
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    Epoll(EventLoopServer),
-    ThreadPool(ThreadPoolServer),
-}
-
 /// A running REST server.
 pub struct RestServer {
-    inner: Inner,
+    inner: EventLoopServer,
 }
 
 impl RestServer {
     /// Bind `bind_addr` (use port 0 for an ephemeral port) and serve
-    /// `router` on `workers` threads over the default (epoll) backend.
+    /// `router` on `workers` threads.
     pub fn start(bind_addr: &str, router: Arc<Router>, workers: usize) -> std::io::Result<RestServer> {
         RestServer::start_with(
             bind_addr,
@@ -88,40 +61,15 @@ impl RestServer {
         )
     }
 
-    /// Bind and serve with explicit backend + tuning.
+    /// Bind and serve with explicit tuning.
     pub fn start_with(bind_addr: &str, router: Arc<Router>, config: ServerConfig) -> std::io::Result<RestServer> {
-        match config.backend {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Backend::Epoll => {
-                let s = EventLoopServer::start(bind_addr, router, config.workers, config.max_connections)?;
-                Ok(RestServer { inner: Inner::Epoll(s) })
-            }
-            #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-            Backend::Epoll => Self::start_pool(bind_addr, router, config.workers),
-            Backend::ThreadPool => Self::start_pool(bind_addr, router, config.workers),
-        }
-    }
-
-    /// Bind and serve over the blocking thread-pool backend (the measured
-    /// baseline in `rest_throughput`).
-    pub fn start_thread_pool(bind_addr: &str, router: Arc<Router>, workers: usize) -> std::io::Result<RestServer> {
-        Self::start_pool(bind_addr, router, workers)
-    }
-
-    fn start_pool(bind_addr: &str, router: Arc<Router>, workers: usize) -> std::io::Result<RestServer> {
-        let s = ThreadPoolServer::start(bind_addr, router, workers)?;
-        Ok(RestServer {
-            inner: Inner::ThreadPool(s),
-        })
+        let inner = EventLoopServer::start(bind_addr, router, config.workers, config.max_connections)?;
+        Ok(RestServer { inner })
     }
 
     /// The bound address (for clients when port 0 was requested).
     pub fn addr(&self) -> SocketAddr {
-        match &self.inner {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Inner::Epoll(s) => s.addr(),
-            Inner::ThreadPool(s) => s.addr,
-        }
+        self.inner.addr()
     }
 
     /// Base URL, e.g. `http://127.0.0.1:8421`.
@@ -131,152 +79,6 @@ impl RestServer {
 
     /// Stop accepting, drain workers, join threads.
     pub fn shutdown(mut self) {
-        match &mut self.inner {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Inner::Epoll(s) => s.shutdown(),
-            Inner::ThreadPool(s) => s.do_shutdown(),
-        }
-    }
-}
-
-/// The blocking bounded-worker-pool backend.
-struct ThreadPoolServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Kept so shutdown can drain connections still queued when the
-    /// workers exit (each drained stream gives its `queue_depth` increment
-    /// back — the gauge must return to zero).
-    queue: Receiver<TcpStream>,
-}
-
-impl ThreadPoolServer {
-    fn start(bind_addr: &str, router: Arc<Router>, workers: usize) -> std::io::Result<ThreadPoolServer> {
-        let listener = TcpListener::bind(bind_addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = bounded(ACCEPT_BACKLOG);
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers.max(1) {
-            let rx = rx.clone();
-            let router = Arc::clone(&router);
-            let worker_shutdown = Arc::clone(&shutdown);
-            let handle = std::thread::Builder::new()
-                .name(format!("ofmf-rest-worker-{i}"))
-                .spawn(move || {
-                    let metrics = crate::obs::metrics();
-                    while let Ok(stream) = rx.recv() {
-                        metrics.queue_depth.sub(1);
-                        metrics.connections.add(1);
-                        serve_connection(stream, &router, &worker_shutdown);
-                        metrics.connections.sub(1);
-                        if worker_shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                })?;
-            worker_handles.push(handle);
-        }
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let acceptor = std::thread::Builder::new()
-            .name("ofmf-rest-acceptor".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            let metrics = crate::obs::metrics();
-                            metrics.accepted.inc();
-                            metrics.queue_depth.add(1);
-                            // Blocking send applies back-pressure when all
-                            // workers are busy and the backlog is full. A
-                            // failed send drops the connection, so its
-                            // gauge increment comes straight back.
-                            if tx.send(s).is_err() {
-                                metrics.queue_depth.sub(1);
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // Dropping tx closes the worker channel.
-            })?;
-
-        Ok(ThreadPoolServer {
-            addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            queue: rx,
-        })
-    }
-
-    fn do_shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Connections accepted but never served: each still carries its
-        // `queue_depth` increment, which dropping alone would leak.
-        while let Ok(s) = self.queue.try_recv() {
-            crate::obs::metrics().queue_depth.sub(1);
-            drop(s);
-        }
-    }
-}
-
-impl Drop for ThreadPoolServer {
-    fn drop(&mut self) {
-        self.do_shutdown();
-    }
-}
-
-fn serve_connection(stream: TcpStream, router: &Router, shutdown: &AtomicBool) {
-    // A short read timeout lets idle keep-alive connections observe the
-    // shutdown flag instead of pinning a worker forever.
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = write_half;
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(req) => {
-                let keep = req.keep_alive();
-                let resp = router.handle(&req);
-                if resp.write_to(&mut writer, keep).is_err() {
-                    return;
-                }
-                if !keep {
-                    return;
-                }
-            }
-            Err(crate::http::ParseError::ConnectionClosed) => return,
-            Err(crate::http::ParseError::IdleTimeout) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                crate::obs::note_parse_error(&format!("{e:?}"));
-                crate::obs::metrics().record_status(e.status());
-                let _ = e.response().write_to(&mut writer, false);
-                return;
-            }
-        }
+        self.inner.shutdown();
     }
 }

@@ -301,13 +301,6 @@ impl Wal {
         }
     }
 
-    /// Batch form of [`Wal::record`].
-    pub fn record_many(&self, recs: &[WalRecord]) {
-        if self.append_many(recs).is_err() {
-            self.errors.inc();
-        }
-    }
-
     /// Force an fsync of the live segment regardless of policy.
     pub fn flush(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();

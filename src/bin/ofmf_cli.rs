@@ -373,12 +373,6 @@ fn stats(client: &mut HttpClient) -> Result<(), String> {
         metric("ofmf.agents.heartbeat.missed") as u64,
     );
     println!(
-        "tasks:         {} in flight, {} completed, {} failed",
-        metric("ofmf.tasks.inflight") as u64,
-        metric("ofmf.tasks.completed.total") as u64,
-        metric("ofmf.tasks.failed.total") as u64,
-    );
-    println!(
         "tracing:       {} spans started, {} dropped at span cap",
         metric("ofmf.trace.spans.started.total") as u64,
         metric("ofmf.trace.spans.dropped.total") as u64,

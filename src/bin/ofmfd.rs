@@ -5,9 +5,12 @@
 //! ```text
 //! Usage: ofmfd [--port N] [--nodes N] [--targets N] [--seed N]
 //!              [--auth USER:PASSWORD] [--poll-ms N] [--workers N]
-//!              [--max-conns N] [--rest-backend epoll|threads]
-//!              [--wal-dir PATH] [--fsync always|batch:<ms>|off]
+//!              [--max-conns N] [--wal-dir PATH]
+//!              [--fsync always|batch:<ms>|off]
 //! ```
+//!
+//! The REST server is an epoll event loop with `--workers` threads that
+//! sheds load with `503` past `--max-conns` open connections.
 //!
 //! With `--wal-dir`, every control-plane mutation is journaled to a
 //! write-ahead log and the daemon resumes from it after a restart
@@ -25,7 +28,7 @@ use composer::{Composer, Strategy};
 use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
 use ofmf_core::{Clock, Ofmf};
 use ofmf_repro::ComposerBridge;
-use ofmf_rest::{Backend, RestServer, Router, ServerConfig};
+use ofmf_rest::{RestServer, Router, ServerConfig};
 use ofmf_wal::{FsyncPolicy, Wal};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,7 +42,6 @@ struct Config {
     poll_ms: u64,
     workers: usize,
     max_conns: usize,
-    backend: Backend,
     wal_dir: Option<std::path::PathBuf>,
     fsync: FsyncPolicy,
 }
@@ -54,7 +56,6 @@ fn parse_args() -> Result<Config, String> {
         poll_ms: 500,
         workers: 8,
         max_conns: 4096,
-        backend: Backend::Epoll,
         wal_dir: None,
         fsync: FsyncPolicy::DEFAULT,
     };
@@ -69,13 +70,6 @@ fn parse_args() -> Result<Config, String> {
             "--poll-ms" => cfg.poll_ms = value("--poll-ms")?.parse().map_err(|e| format!("--poll-ms: {e}"))?,
             "--workers" => cfg.workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?,
             "--max-conns" => cfg.max_conns = value("--max-conns")?.parse().map_err(|e| format!("--max-conns: {e}"))?,
-            "--rest-backend" => {
-                cfg.backend = match value("--rest-backend")?.as_str() {
-                    "epoll" => Backend::Epoll,
-                    "threads" => Backend::ThreadPool,
-                    other => return Err(format!("--rest-backend expects epoll|threads, got '{other}'")),
-                }
-            }
             "--auth" => {
                 let v = value("--auth")?;
                 let (u, p) = v
@@ -92,8 +86,8 @@ fn parse_args() -> Result<Config, String> {
             "--help" | "-h" => {
                 return Err("usage: ofmfd [--port N] [--nodes N] [--targets N] [--seed N] \
                             [--auth USER:PASSWORD] [--poll-ms N] [--workers N] \
-                            [--max-conns N] [--rest-backend epoll|threads] \
-                            [--wal-dir PATH] [--fsync always|batch:<ms>|off]"
+                            [--max-conns N] [--wal-dir PATH] \
+                            [--fsync always|batch:<ms>|off]"
                     .to_string())
             }
             other => return Err(format!("unknown flag {other}")),
@@ -163,7 +157,7 @@ fn main() {
     let server_config = ServerConfig {
         workers: cfg.workers,
         max_connections: cfg.max_conns,
-        backend: cfg.backend,
+        ..ServerConfig::default()
     };
     let server = match RestServer::start_with(&format!("0.0.0.0:{}", cfg.port), router, server_config) {
         Ok(s) => s,
@@ -185,8 +179,8 @@ fn main() {
         cfg.poll_ms
     );
     println!(
-        "ofmfd: rest backend {:?}, {} worker(s), shedding load past {} connections",
-        cfg.backend, cfg.workers, cfg.max_conns
+        "ofmfd: rest event loop on {} worker(s), shedding load past {} connections",
+        cfg.workers, cfg.max_conns
     );
     match &cfg.wal_dir {
         Some(dir) => println!(

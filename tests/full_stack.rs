@@ -10,11 +10,14 @@ mod oracle;
 mod wire_oracle;
 
 use composer::{Composer, CompositionRequest, Strategy};
-use ofmf_agents::flavors::RackShape;
-use ofmf_repro::{demo_rig, demo_rig_with_shape};
+use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
+use ofmf_core::{Agent, Ofmf};
+use ofmf_repro::{demo_rig, demo_rig_with_shape, ComposerBridge};
 use ofmf_rest::{HttpClient, RestServer, Router};
+use ofmf_wal::{FsyncPolicy, Wal};
 use redfish_model::odata::ODataId;
 use serde_json::json;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 #[test]
@@ -295,4 +298,98 @@ fn hostile_json_is_refused_and_a_mebibyte_parses_promptly() {
         400
     );
     assert_eq!(router.handle(&request(r#"{"Id":"x","Name":"fine"}"#)).status, 201);
+}
+
+/// `DELETE /Systems/<composed>` decomposes: the zones, connections and node
+/// reservation go with the system document, the journal does not bring the
+/// composition back, and a system nobody composed is still a plain delete.
+#[test]
+fn rest_delete_of_a_composed_system_decomposes_it() {
+    let dir = std::env::temp_dir().join(format!("ofmf-full-stack-delete-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The demo rig's three fabrics, on an OFMF that journals.
+    let boot = || {
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Always).expect("open journal"));
+        let ofmf = Ofmf::with_wal("ofmf-delete", HashMap::new(), 309, wal).expect("boot");
+        let shape = RackShape::default();
+        let agents: [Arc<dyn Agent>; 3] = [
+            Arc::new(cxl_agent("CXL0", &shape, 1 << 20, 1)),
+            Arc::new(nvmeof_agent("NVME0", &shape, 1 << 40, 2)),
+            Arc::new(infiniband_agent("IB0", &shape, "A100", 3)),
+        ];
+        for agent in agents {
+            ofmf.register_agent(agent).expect("register");
+        }
+        let composer = Arc::new(Composer::new(Arc::clone(&ofmf), Strategy::FirstFit));
+        composer.attach_snapshot_provider();
+        (ofmf, composer)
+    };
+    const COMPOSE: &str = "/redfish/v1/CompositionService/Actions/CompositionService.Compose";
+    let job = |name: &str| json!({"Name": name, "Cores": 8, "LocalMemoryGiB": 8, "FabricMemoryMiB": 1024});
+
+    {
+        let (ofmf, composer) = boot();
+        let bridge = Arc::new(ComposerBridge::shared(Arc::clone(&composer)));
+        let router = Arc::new(Router::new(Arc::clone(&ofmf), false).with_compose_service(bridge));
+        let server = RestServer::start("127.0.0.1:0", router, 2).unwrap();
+        let mut http = HttpClient::new(server.addr());
+
+        // One composition on every fabric, then fill the rest of the rack.
+        let mut body = job("doomed");
+        body["Gpus"] = json!(1);
+        body["StorageBytes"] = json!(1u64 << 30);
+        assert_eq!(http.post(COMPOSE, &body).unwrap().status, 201);
+        for i in 1..RackShape::default().compute_nodes {
+            assert_eq!(http.post(COMPOSE, &job(&format!("filler{i}"))).unwrap().status, 201);
+        }
+        assert_eq!(
+            http.post(COMPOSE, &job("overflow")).unwrap().status,
+            507,
+            "every node is taken"
+        );
+        let doomed = composer
+            .find(&ODataId::new("/redfish/v1/Systems/doomed"))
+            .expect("composed over REST");
+        let fabrics: std::collections::BTreeSet<&str> = doomed.bindings.iter().map(|b| b.fabric.as_str()).collect();
+        assert_eq!(fabrics.len(), 3, "{fabrics:?}");
+
+        assert_eq!(http.delete(doomed.system.as_str()).unwrap().status, 204);
+        assert!(composer.find(&doomed.system).is_none());
+        assert_eq!(composer.compositions().len(), RackShape::default().compute_nodes - 1);
+        assert_eq!(http.get(doomed.system.as_str()).unwrap().status, 404);
+        for b in &doomed.bindings {
+            assert_eq!(http.get(b.zone.as_str()).unwrap().status, 404, "{}", b.zone);
+            assert_eq!(http.get(b.connection.as_str()).unwrap().status, 404, "{}", b.connection);
+        }
+
+        // The node went back to the pool: the rack composes again, on it.
+        assert_eq!(http.post(COMPOSE, &job("again")).unwrap().status, 201);
+        let again = composer
+            .find(&ODataId::new("/redfish/v1/Systems/again"))
+            .expect("recomposed");
+        assert_eq!(again.node, doomed.node);
+        assert_eq!(http.delete(again.system.as_str()).unwrap().status, 204);
+
+        // A system no composition owns is deleted as before.
+        let plain = json!({"Id": "plain", "Name": "plain"});
+        assert_eq!(http.post("/redfish/v1/Systems", &plain).unwrap().status, 201);
+        assert_eq!(http.delete("/redfish/v1/Systems/plain").unwrap().status, 204);
+        assert_eq!(http.get("/redfish/v1/Systems/plain").unwrap().status, 404);
+        assert_eq!(http.delete("/redfish/v1/Systems/plain").unwrap().status, 404);
+        assert!(ofmf.registry.dangling_links().is_empty());
+        server.shutdown();
+    }
+
+    // The decompositions were journaled: a restart restores only the fillers.
+    let (ofmf, composer) = boot();
+    assert!(ofmf.was_recovered());
+    ofmf.finish_recovery();
+    assert_eq!(composer.recover(), (RackShape::default().compute_nodes - 1, 0));
+    for gone in ["doomed", "again", "plain"] {
+        let id = ODataId::new("/redfish/v1/Systems").child(gone);
+        assert!(composer.find(&id).is_none(), "{gone}");
+        assert!(!ofmf.registry.exists(&id), "{gone}");
+    }
+    assert!(ofmf.registry.dangling_links().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }
