@@ -882,12 +882,13 @@ impl Ofmf {
 
     // ------------------------------------------------------------ north-bound
 
-    /// `GET` a resource (wire body with fresh ETag).
+    /// `GET` a resource: [`Registry::get`]'s document, a collection's
+    /// `Members` included, as its wire body with the current ETag.
     pub fn get(&self, path: &ODataId) -> RedfishResult<(Value, ETag)> {
         let _span = ofmf_obs::Trace::begin(&tree_metrics().get);
         let mut tspan = ofmf_obs::child_span("ofmf.tree.get");
         tspan.annotate("path", path.as_str());
-        self.registry.read(path, |stored| (stored.wire_body(), stored.etag))
+        self.registry.get(path).map(|stored| (stored.wire_body(), stored.etag))
     }
 
     /// `GET` a resource as pre-serialized wire bytes, served from the

@@ -188,9 +188,9 @@ pub fn mount_subtree(reg: &Registry, inventory: &[(ODataId, Value)]) -> RedfishR
     for (id, body) in sorted {
         let is_collection = body.get("Members").is_some();
         if reg.exists(id) {
-            // Re-registration. A collection keeps the members the registry
-            // holds for it (zones, connections and carves replayed from the
-            // journal are unknown to a fresh discovery).
+            // Re-registration. A collection's members are its children in
+            // the tree, so the ones replayed from the journal (zones,
+            // connections and carves a fresh discovery does not know) stay.
             reg.replace(id, body.clone())?;
         } else if is_collection {
             // Create the shell, then replace to carry the agent's other

@@ -21,6 +21,8 @@
 //!   integrity checks.
 //! * [`patch`] — RFC 7386 JSON merge-patch used for `PATCH` semantics.
 //! * [`path`] — Redfish URI path manipulation helpers.
+//! * [`query`] — OData query options (`$expand`, `$select`, `$top`,
+//!   `$skip`), which the registry writes a GET's answer under.
 //! * [`error`] — error type carrying the HTTP status and a Redfish
 //!   `ExtendedInfo`-style message payload.
 //!
@@ -36,6 +38,7 @@ pub mod error;
 pub mod odata;
 pub mod patch;
 pub mod path;
+pub mod query;
 pub mod registry;
 pub mod replay;
 pub mod resources;

@@ -35,14 +35,29 @@
 //! entirely; any mutation allocates a new ETag and thereby invalidates the
 //! stale bytes. A miss clones nothing either: the bytes are written straight
 //! from the stored body under the shard read lock
-//! ([`StoredResource::wire_body`] describes the document and is what tests
-//! hold the writer to). The REST layer answers PATCH and POST from the same
-//! call, so a write's reply fills the cache for the GET that follows it.
+//! ([`StoredResource::wire_body`] of what [`Registry::get`] returns
+//! describes the document and is what tests hold the writer to). The REST
+//! layer answers PATCH and POST from the same call, so a write's reply fills
+//! the cache for the GET that follows it.
+//!
+//! # Collections are a key range
+//!
+//! A collection's members are its direct children in the tree, which share
+//! its top-level segment and so its shard. `Members` and
+//! `Members@odata.count` are rendered from that key range on every read —
+//! in id order — and are never stored, journaled or snapshotted; a body or
+//! an older journal that carries them for a collection has them dropped.
+//! Linking or unlinking a member still gives the collection a fresh ETag,
+//! which keys its cached bytes. A query GET ([`Registry::query`]) is written
+//! by the same writer under one shard read lock: `$top`/`$skip` are a
+//! skip/take over the range, `$select` a member filter, and `$expand`
+//! inlines the range's own documents.
 
 use crate::error::{RedfishError, RedfishResult};
 use crate::odata::{ETag, ODataId};
 use crate::patch::{first_read_only_violation, merge_patch};
 use crate::path::{fnv1a, top_segment, valid_member_id};
+use crate::query::QueryOptions;
 use ofmf_wal::{SnapshotWriter, Wal, WalRecord};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde_json::{json, Value};
@@ -69,6 +84,16 @@ const WIRE_BODY_GUESS: usize = 512;
 /// its lock hold time and of its buffered memory.
 const SNAPSHOT_BATCH: usize = 256;
 
+/// Descendants of one child a walk over a collection's members steps over
+/// before it seeks past the rest of that child's subtree. A seek costs about
+/// as much as stepping over 16 keys (measured on 2 040 members with no
+/// subtree, 128 members with 12 descendants each, and 3 with 2 000 each).
+const SEEK_AFTER: usize = 16;
+
+/// What a collection's body may say about its membership; the tree says it
+/// instead, so these are dropped from every body stored for a collection.
+const MEMBERSHIP: [&str; 3] = ["Members", "Members@odata.count", "Members@odata.nextLink"];
+
 /// A resource document plus its registry metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredResource {
@@ -76,7 +101,8 @@ pub struct StoredResource {
     pub body: Value,
     /// Current version tag; a fresh registry-unique value on every mutation.
     pub etag: ETag,
-    /// Whether the resource is a Redfish collection (maintains `Members`).
+    /// Whether the resource is a Redfish collection: its `Members` are its
+    /// direct children in the tree, rendered on every read, never stored.
     pub is_collection: bool,
 }
 
@@ -93,64 +119,6 @@ impl StoredResource {
             obj.insert("@odata.etag".to_string(), Value::String(self.etag.to_header()));
         }
         b
-    }
-
-    /// Append the bytes `serde_json::to_vec(&self.wire_body())` gives,
-    /// written from the borrowed body: `@odata.etag` takes the place of a
-    /// stored one and is appended otherwise. With `inline`, the value of
-    /// `Members` is those resources' wire forms — the `$expand` answer — in
-    /// place, or after the ETag in a body that holds no `Members`.
-    fn write_wire(&self, out: &mut Vec<u8>, inline: Option<&[&StoredResource]>) -> serde_json::Result<()> {
-        let Some(obj) = self.body.as_object() else {
-            return serde_json::to_writer(out, &self.body);
-        };
-        // The two members written by key get a placeholder value when absent.
-        let absent = |key: &'static str| (!obj.contains_key(key)).then_some((key, &Value::Null));
-        let entries = obj
-            .iter()
-            .map(|(k, v)| (k.as_str(), v))
-            .chain(absent("@odata.etag"))
-            .chain(inline.and(absent("Members")));
-        out.push(b'{');
-        for (i, (key, value)) in entries.enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            serde_json::to_writer(&mut *out, key)?;
-            out.push(b':');
-            match (key, inline) {
-                ("@odata.etag", _) => serde_json::to_writer(&mut *out, &self.etag.to_header())?,
-                ("Members", Some(members)) => {
-                    out.push(b'[');
-                    for (n, member) in members.iter().enumerate() {
-                        if n > 0 {
-                            out.push(b',');
-                        }
-                        member.write_wire(out, None)?;
-                    }
-                    out.push(b']');
-                }
-                _ => serde_json::to_writer(&mut *out, value)?,
-            }
-        }
-        out.push(b'}');
-        Ok(())
-    }
-
-    /// Add (`link`) or remove `id` in `Members` and refresh the count.
-    /// False, touching nothing, when the body holds no `Members` array.
-    fn set_member(&mut self, id: &ODataId, link: bool) -> bool {
-        let Some(members) = self.body.get_mut("Members").and_then(Value::as_array_mut) else {
-            return false;
-        };
-        if link {
-            members.push(json!({"@odata.id": id.as_str()}));
-        } else {
-            members.retain(|m| m["@odata.id"].as_str() != Some(id.as_str()));
-        }
-        let count = members.len();
-        self.body["Members@odata.count"] = json!(count);
-        true
     }
 }
 
@@ -175,7 +143,42 @@ impl Tree {
         self.descendants(id).next().is_some()
     }
 
-    fn put(&mut self, id: &ODataId, body: Value, etag: u64, is_collection: bool) {
+    /// The direct children of `id` in id order: the members of a collection
+    /// at `id`. The walk steps over a child's first descendants and, past
+    /// [`SEEK_AFTER`] of them, seeks past the rest of that child's subtree
+    /// (`{child}0`, as in `descendants`): a member with a large subtree costs
+    /// one O(log n) seek, not its descendants, and a small one no seek.
+    fn children<'a>(&'a self, id: &ODataId) -> impl Iterator<Item = (&'a ODataId, &'a StoredResource)> + 'a {
+        let base = id.as_str().len() + 1;
+        let lo = ODataId::raw(format!("{}/", id.as_str()));
+        let hi = ODataId::raw(format!("{}0", id.as_str()));
+        let mut walk = self.nodes.range((Bound::Included(&lo), Bound::Excluded(&hi)));
+        let mut stepped = 0;
+        std::iter::from_fn(move || loop {
+            let (key, node) = walk.next()?;
+            let rest = key.as_str().as_bytes().get(base..).unwrap_or_default();
+            let Some(slash) = rest.iter().position(|&b| b == b'/') else {
+                stepped = 0;
+                return Some((key, node));
+            };
+            stepped += 1;
+            if stepped == SEEK_AFTER {
+                stepped = 0;
+                let child = key.as_str().get(..base + slash).unwrap_or_default();
+                let past = ODataId::raw(format!("{child}0"));
+                walk = self.nodes.range((Bound::Included(&past), Bound::Excluded(&hi)));
+            }
+        })
+    }
+
+    /// Store `body` at `id`, dropping any membership a collection's body
+    /// states: the tree states it.
+    fn put(&mut self, id: &ODataId, mut body: Value, etag: u64, is_collection: bool) {
+        if let (true, Some(obj)) = (is_collection, body.as_object_mut()) {
+            for key in MEMBERSHIP {
+                obj.remove(key);
+            }
+        }
         let etag = ETag(etag);
         self.nodes.insert(
             id.clone(),
@@ -186,6 +189,134 @@ impl Tree {
             },
         );
     }
+
+    /// `node`, the resource at `id`, as a document: a clone of its stored
+    /// form, plus a collection's `Members` links and count after its stored
+    /// members.
+    fn rendered(&self, id: &ODataId, node: &StoredResource) -> StoredResource {
+        let mut out = node.clone();
+        if let (true, Some(obj)) = (node.is_collection, out.body.as_object_mut()) {
+            let members: Vec<Value> = self
+                .children(id)
+                .map(|(member, _)| json!({"@odata.id": member.as_str()}))
+                .collect();
+            let count = members.len();
+            obj.insert("Members".to_string(), Value::Array(members));
+            obj.insert("Members@odata.count".to_string(), json!(count));
+        }
+        out
+    }
+
+    /// Append the answer to a GET of `node`, the resource at `id`, under the
+    /// query options `q`: the bytes `serde_json::to_vec(&q.apply(doc))`
+    /// gives, where `doc` is what [`Registry::get`] renders with its
+    /// `wire_body()` and, under `$expand`, each member's own wire form in
+    /// place of its link. Written from the borrowed tree: `@odata.etag`
+    /// takes the place of a stored one and is appended otherwise; a
+    /// collection's `Members` and count follow its stored members, and a
+    /// page's nextLink comes last.
+    fn write_wire(
+        &self,
+        id: &ODataId,
+        node: &StoredResource,
+        q: &QueryOptions,
+        out: &mut Vec<u8>,
+    ) -> serde_json::Result<()> {
+        let Some(obj) = node.body.as_object() else {
+            return serde_json::to_writer(out, &node.body);
+        };
+        let etag = node.etag.to_header();
+        out.push(b'{');
+        let mut first = true;
+        let mut key = |out: &mut Vec<u8>, key: &str| {
+            if !std::mem::take(&mut first) {
+                out.push(b',');
+            }
+            serde_json::to_writer(&mut *out, key)?;
+            out.push(b':');
+            serde_json::Result::Ok(())
+        };
+        for (k, v) in obj.iter().filter(|(k, _)| q.selects(k)) {
+            key(out, k)?;
+            match k.as_str() {
+                "@odata.etag" => serde_json::to_writer(&mut *out, &etag)?,
+                _ => serde_json::to_writer(&mut *out, v)?,
+            }
+        }
+        let mut next_link = None;
+        let [list, count, link] = MEMBERSHIP.map(|k| node.is_collection && q.selects(k));
+        if list || count || link {
+            let skip = q.skip.unwrap_or(0);
+            let top = q.top.unwrap_or(usize::MAX);
+            let (mut total, mut shown) = (0usize, 0usize);
+            // Each member id is this collection's id, a `/` and a leaf: only
+            // the leaves are left to check for bytes to escape.
+            let plain_prefix = !escapes(id.as_str());
+            if list {
+                key(out, "Members")?;
+                out.push(b'[');
+            }
+            for (member, doc) in self.children(id) {
+                let in_page = total >= skip && shown < top;
+                if in_page && list {
+                    if shown > 0 {
+                        out.push(b',');
+                    }
+                    if q.expand {
+                        self.write_wire(member, doc, &QueryOptions::default(), out)?;
+                    } else {
+                        let leaf = member.as_str().get(id.as_str().len()..).unwrap_or_default();
+                        write_link(out, member.as_str(), plain_prefix && !escapes(leaf))?;
+                    }
+                }
+                shown += usize::from(in_page);
+                total += 1;
+            }
+            if list {
+                out.push(b']');
+            }
+            if count {
+                key(out, "Members@odata.count")?;
+                serde_json::to_writer(&mut *out, &total)?;
+            }
+            let more = link && q.pages() && shown > 0 && skip.saturating_add(shown) < total;
+            let self_id = obj.get("@odata.id").and_then(Value::as_str).filter(|_| more);
+            next_link = self_id.map(|self_id| q.next_link(self_id, skip + shown));
+        }
+        if !obj.contains_key("@odata.etag") {
+            key(out, "@odata.etag")?;
+            serde_json::to_writer(&mut *out, &etag)?;
+        }
+        if let Some(next_link) = next_link {
+            key(out, "Members@odata.nextLink")?;
+            serde_json::to_writer(&mut *out, &next_link)?;
+        }
+        out.push(b'}');
+        Ok(())
+    }
+}
+
+/// Whether JSON escapes any byte of `s`. Branch-free, so it vectorises: a
+/// large collection's GET is mostly its member links.
+fn escapes(s: &str) -> bool {
+    s.bytes()
+        .fold(false, |any, b| any | (b < 0x20) | (b == b'"') | (b == b'\\'))
+}
+
+/// Append `{"@odata.id":"<id>"}`, the link a collection lists a member by,
+/// as `serde_json` prints it. An id the caller knows needs no escape
+/// (`plain`) is copied as it is.
+fn write_link(out: &mut Vec<u8>, id: &str, plain: bool) -> serde_json::Result<()> {
+    out.extend_from_slice(b"{\"@odata.id\":");
+    if plain {
+        out.push(b'"');
+        out.extend_from_slice(id.as_bytes());
+        out.push(b'"');
+    } else {
+        serde_json::to_writer(&mut *out, id)?;
+    }
+    out.push(b'}');
+    Ok(())
 }
 
 /// Cached wire entry: (etag value, serialized wire body).
@@ -327,7 +458,8 @@ impl Registry {
     ///
     /// The body's `@odata.id` member is forced to `id`. Fails with
     /// `AlreadyExists` if the path is taken. If the parent is a collection,
-    /// the new resource is appended to its `Members`.
+    /// the new resource is one of its `Members` and the parent gets a fresh
+    /// ETag.
     pub fn create(&self, id: &ODataId, mut body: Value) -> RedfishResult<ETag> {
         let Some(obj) = body.as_object_mut() else {
             return Err(RedfishError::BadRequest("resource body must be a JSON object".into()));
@@ -341,15 +473,13 @@ impl Registry {
 
     /// Insert a Redfish collection resource at `id`.
     ///
-    /// A collection maintains `Members` / `Members@odata.count` members that
-    /// the registry keeps consistent as children are created and deleted.
+    /// A collection's `Members` / `Members@odata.count` are the resources
+    /// created directly under it, rendered whenever it is read.
     pub fn create_collection(&self, id: &ODataId, odata_type: &str, name: &str) -> RedfishResult<ETag> {
         let body = json!({
             "@odata.id": id.as_str(),
             "@odata.type": odata_type,
             "Name": name,
-            "Members": [],
-            "Members@odata.count": 0,
         });
         self.insert_new(id, body, true)
     }
@@ -375,12 +505,12 @@ impl Registry {
         Ok(etag)
     }
 
-    /// A fresh ETag for `id`'s parent when linking or unlinking `id` will
-    /// touch it (the parent is a collection holding a `Members` array).
+    /// A fresh ETag for `id`'s parent when linking or unlinking `id`
+    /// changes its `Members` (the parent is a collection).
     fn parent_etag(&self, span: &mut WriteSpan<'_>, id: &ODataId) -> Option<u64> {
         let parent = id.parent()?;
         let p = span.tree(stripe_of(&parent)).nodes.get(&parent)?;
-        (p.is_collection && p.body.get("Members").is_some_and(Value::is_array)).then(|| self.next_etag().0)
+        p.is_collection.then(|| self.next_etag().0)
     }
 
     /// The tail of every live mutation, once validated and with its ETags
@@ -397,10 +527,15 @@ impl Registry {
     /// Apply `rec` over the locked span and release it, then drop the cached
     /// wire bodies of what it removed (mutations in place are already
     /// invalidated by the ETag bump, but dropping keeps the cache tight).
+    /// An install, or a replayed replace that creates its resource, adds a
+    /// member without moving the parent's ETag — a snapshot carries the
+    /// parent's own — so the parent's cached bytes go as well.
     fn settle(&self, mut span: WriteSpan<'_>, id: &ODataId, rec: WalRecord) -> usize {
+        let unpinned = matches!(rec, WalRecord::InstallResource { .. } | WalRecord::Replace { .. });
+        let parent = unpinned.then(|| id.parent()).flatten();
         let removed = span.transition(id, rec);
         drop(span);
-        for gone in &removed {
+        for gone in removed.iter().chain(&parent) {
             self.shard(gone).wire.write().remove(gone);
         }
         removed.len()
@@ -433,20 +568,18 @@ impl Registry {
         true
     }
 
-    /// Fetch a resource (clone of its stored form).
+    /// Fetch a resource: a clone of its stored form, with a collection's
+    /// `Members` and count rendered after its stored members.
     pub fn get(&self, id: &ODataId) -> RedfishResult<StoredResource> {
-        self.shard(id)
-            .tree
-            .read()
-            .nodes
-            .get(id)
-            .cloned()
-            .ok_or_else(|| RedfishError::NotFound(id.clone()))
+        let t = self.shard(id).tree.read();
+        let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
+        Ok(t.rendered(id, node))
     }
 
     /// Run `f` over the resource at `id` under its shard's read lock, without
-    /// cloning it — for callers that look at a member or two. `f` must be
-    /// fast and must not reenter the registry.
+    /// cloning it — for callers that look at a member or two of its stored
+    /// form, which holds no collection's `Members`. `f` must be fast and
+    /// must not reenter the registry.
     pub fn read<R>(&self, id: &ODataId, f: impl FnOnce(&StoredResource) -> R) -> RedfishResult<R> {
         let t = self.shard(id).tree.read();
         t.nodes.get(id).map(f).ok_or_else(|| RedfishError::NotFound(id.clone()))
@@ -473,7 +606,7 @@ impl Registry {
         };
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         let mut body = Vec::with_capacity(capacity);
-        node.write_wire(&mut body, None)
+        t.write_wire(id, node, &QueryOptions::default(), &mut body)
             .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?;
         let bytes: Arc<[u8]> = body.into();
         // Inserted while still holding the tree read lock: delete and
@@ -489,6 +622,20 @@ impl Registry {
         }
         wire.insert(id.clone(), (etag.0, Arc::clone(&bytes)));
         Ok((bytes, etag))
+    }
+
+    /// The bytes a GET of `id` with query options `q` returns, plus the
+    /// resource's ETag: written from the borrowed tree under the shard's
+    /// read lock, which holds a collection's members and their documents
+    /// too. Equal to what `q.apply` makes of [`Registry::get`]'s wire body,
+    /// with each member's wire body in place of its link under `$expand`.
+    pub fn query(&self, id: &ODataId, q: &QueryOptions) -> RedfishResult<(Vec<u8>, ETag)> {
+        let t = self.shard(id).tree.read();
+        let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
+        let mut out = Vec::with_capacity(WIRE_BODY_GUESS);
+        t.write_wire(id, node, q, &mut out)
+            .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?;
+        Ok((out, node.etag))
     }
 
     /// True if a resource exists at `id`.
@@ -538,9 +685,10 @@ impl Registry {
     }
 
     /// Replace the whole body (used by agents re-publishing a resource).
-    /// Read-only identity members are preserved, and so is a collection's
-    /// `Members` / `Members@odata.count`: membership is owned by the
-    /// registry, not by the document a client sends. Allocates a fresh ETag.
+    /// The `@odata.id` member is forced to `id`, and whatever `Members` the
+    /// body lists for a collection is dropped: a collection's members are
+    /// its children in the tree, not what a client sends. Allocates a fresh
+    /// ETag.
     pub fn replace(&self, id: &ODataId, mut body: Value) -> RedfishResult<ETag> {
         let Some(obj) = body.as_object_mut() else {
             return Err(RedfishError::BadRequest("resource body must be a JSON object".into()));
@@ -566,19 +714,12 @@ impl Registry {
 
     /// Delete the resource at `id`.
     ///
-    /// Collections may only be deleted when empty; deleting a non-collection
-    /// resource that still has children fails with `Conflict`.
+    /// Deleting a resource that still has children — a collection with
+    /// members among them — fails with `Conflict`.
     pub fn delete(&self, id: &ODataId) -> RedfishResult<()> {
         let mut span = self.write_around(id);
-        {
-            let t = span.tree(stripe_of(id));
-            let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
-            if node.is_collection {
-                let n = node.body["Members@odata.count"].as_u64().unwrap_or(0);
-                if n > 0 {
-                    return Err(RedfishError::Conflict(format!("collection {id} is not empty")));
-                }
-            }
+        if !span.tree(stripe_of(id)).nodes.contains_key(id) {
+            return Err(RedfishError::NotFound(id.clone()));
         }
         if span.trees().any(|t| t.has_descendants(id)) {
             return Err(RedfishError::Conflict(format!("resource {id} has child resources")));
@@ -614,20 +755,15 @@ impl Registry {
         )
     }
 
-    /// Ids of the direct members of the collection at `id`.
+    /// Ids of the members of the collection at `id`: its direct children,
+    /// in id order.
     pub fn members(&self, id: &ODataId) -> RedfishResult<Vec<ODataId>> {
         let t = self.shard(id).tree.read();
         let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
         if !node.is_collection {
             return Err(RedfishError::MethodNotAllowed(format!("{id} is not a collection")));
         }
-        let members = node.body["Members"]
-            .as_array()
-            .ok_or_else(|| RedfishError::Internal(format!("collection {id} holds no Members array")))?;
-        Ok(members
-            .iter()
-            .filter_map(|m| m["@odata.id"].as_str().map(ODataId::new))
-            .collect())
+        Ok(t.children(id).map(|(member, _)| member.clone()).collect())
     }
 
     /// All resource ids under `prefix` (inclusive), in path order.
@@ -692,39 +828,35 @@ impl Registry {
         dangling
     }
 
-    /// Run `f` over every stored resource in path order (all shard read
-    /// locks held for the duration; `f` must be fast and must not reenter
-    /// the registry).
+    /// Run `f` over every resource in path order, each as [`Registry::get`]
+    /// has it: a collection is handed over as a clone with its `Members`
+    /// rendered. All shard read locks are held for the duration; `f` must
+    /// be fast and must not reenter the registry. A cold path: setup, test
+    /// oracles and crash checks.
     pub fn for_each<F: FnMut(&ODataId, &StoredResource)>(&self, mut f: F) {
         let guards = self.read_all();
-        let mut all: Vec<(&ODataId, &StoredResource)> = guards.iter().flat_map(|t| t.nodes.iter()).collect();
-        all.sort_by(|a, b| a.0.cmp(b.0));
-        for (id, node) in all {
-            f(id, node);
+        let mut all: Vec<(&Tree, &ODataId, &StoredResource)> = guards
+            .iter()
+            .flat_map(|t| t.nodes.iter().map(move |(id, node)| (&**t, id, node)))
+            .collect();
+        all.sort_by(|a, b| a.1.cmp(b.1));
+        for (t, id, node) in all {
+            if node.is_collection {
+                f(id, &t.rendered(id, node));
+            } else {
+                f(id, node);
+            }
         }
     }
 
-    /// The expanded view of a collection as the bytes a GET returns: the
-    /// collection's wire body with each member's wire body inlined (the
-    /// `$expand` query option), written from the borrowed documents.
-    /// Members may live in any shard, so this takes a whole-tree read
-    /// snapshot.
+    /// The `$expand` answer for `id` as the bytes a GET returns: the
+    /// collection's wire body with each member's wire body inlined.
     pub fn expand(&self, id: &ODataId) -> RedfishResult<Vec<u8>> {
-        let guards = self.read_all();
-        let lookup = |rid: &ODataId| guards.get(stripe_of(rid)).and_then(|t| t.nodes.get(rid));
-        let node = lookup(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
-        let members: Option<Vec<&StoredResource>> = node.is_collection.then(|| {
-            let listed = node.body.get("Members").and_then(Value::as_array);
-            listed
-                .into_iter()
-                .flatten()
-                .filter_map(|m| lookup(&ODataId::new(m.get("@odata.id")?.as_str()?)))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(WIRE_BODY_GUESS * (1 + members.as_ref().map_or(0, Vec::len)));
-        node.write_wire(&mut out, members.as_deref())
-            .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?;
-        Ok(out)
+        let q = QueryOptions {
+            expand: true,
+            ..Default::default()
+        };
+        self.query(id, &q).map(|(bytes, _)| bytes)
     }
 
     /// Raise the ETag allocator so the next allocation is at least `floor`.
@@ -821,10 +953,9 @@ impl WriteSpan<'_> {
                 ..
             } => {
                 self.tree(me).put(id, body, etag, is_collection);
-                self.relink_parent(id, true, parent_etag);
+                self.pin_parent(id, parent_etag);
             }
-            // No parent linking: a snapshot carries each parent's `Members`
-            // in its own body.
+            // No parent ETag: a snapshot carries each parent's own.
             WalRecord::InstallResource {
                 body,
                 etag,
@@ -837,20 +968,17 @@ impl WriteSpan<'_> {
                     node.etag = ETag(etag);
                 }
             }
-            WalRecord::Replace { mut body, etag, .. } => match self.tree(me).nodes.get_mut(id) {
-                Some(node) if node.etag.0 < etag => {
-                    if node.is_collection {
-                        keep_members(&mut node.body, &mut body);
-                    }
-                    node.body = body;
-                    node.etag = ETag(etag);
-                }
-                Some(_) => {}
-                None => {
-                    let is_collection = body.get("Members").is_some();
-                    self.tree(me).put(id, body, etag, is_collection);
-                }
-            },
+            WalRecord::Replace { body, etag, .. } => {
+                let tree = self.tree(me);
+                // A replace keeps what the resource is; one that creates it
+                // (replay only) makes a collection of a body with `Members`.
+                let is_collection = match tree.nodes.get(id) {
+                    Some(node) if node.etag.0 >= etag => return Vec::new(),
+                    Some(node) => node.is_collection,
+                    None => body.get("Members").is_some(),
+                };
+                tree.put(id, body, etag, is_collection);
+            }
             WalRecord::Delete { parent_etag, .. } | WalRecord::DeleteSubtree { parent_etag, .. } => {
                 let mut doomed: Vec<ODataId> = Vec::new();
                 if subtree {
@@ -862,7 +990,7 @@ impl WriteSpan<'_> {
                 if self.tree(me).nodes.remove(id).is_some() {
                     doomed.push(id.clone());
                 }
-                self.relink_parent(id, false, parent_etag);
+                self.pin_parent(id, parent_etag);
                 return doomed;
             }
             _ => {}
@@ -870,33 +998,16 @@ impl WriteSpan<'_> {
         Vec::new()
     }
 
-    /// Link `id` into (`link`) or out of its parent's `Members` and pin the
-    /// parent's ETag to the recorded one. `None` means the live mutation
-    /// bumped no parent (it was not a collection), so membership is left
-    /// untouched.
-    ///
-    /// The ETag gate is O(1): scanning `Members` for `id` instead made
-    /// replaying n creates into one collection O(n²) and blew the boot-time
-    /// budget at 100k records.
-    fn relink_parent(&mut self, id: &ODataId, link: bool, parent_etag: Option<u64>) {
+    /// Pin the ETag of `id`'s parent to the one the live mutation gave it
+    /// for linking or unlinking `id`: its `Members` are its children, which
+    /// the record has just changed. `None` means the live mutation bumped
+    /// no parent (it was not a collection).
+    fn pin_parent(&mut self, id: &ODataId, parent_etag: Option<u64>) {
         let (Some(petag), Some(parent)) = (parent_etag, id.parent()) else {
             return;
         };
         if let Some(p) = self.tree(stripe_of(&parent)).nodes.get_mut(&parent) {
-            if p.etag.0 < petag && p.set_member(id, link) {
-                p.etag = ETag(petag);
-            }
-        }
-    }
-}
-
-/// Carry a collection's registry-owned membership over from its current
-/// body into the body replacing it.
-fn keep_members(current: &mut Value, body: &mut Value) {
-    let Some(obj) = body.as_object_mut() else { return };
-    for key in ["Members", "Members@odata.count"] {
-        if let Some(v) = current.get_mut(key) {
-            obj.insert(key.to_string(), v.take());
+            p.etag = p.etag.max(ETag(petag));
         }
     }
 }
@@ -1028,15 +1139,27 @@ mod tests {
             etag: 80,
         });
         assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
-        // A collection a journal installed without the array (snapshot
-        // installs are applied verbatim) is an error, not a panic.
+        // A collection installed without the array is a collection like any
+        // other: its members are its children. One installed with a stale
+        // array (an older snapshot's) lists its children, not the array.
         r.apply_record(WalRecord::InstallResource {
             id: col.as_str().to_string(),
             body: json!({"Name": "Systems"}),
             etag: 90,
             is_collection: true,
         });
-        assert!(matches!(r.members(&col), Err(RedfishError::Internal(_))));
+        assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
+        r.apply_record(WalRecord::InstallResource {
+            id: col.as_str().to_string(),
+            body: json!({"Name": "Systems", "Members": [{"@odata.id": "/redfish/v1/Systems/gone"}], "Members@odata.count": 1}),
+            etag: 91,
+            is_collection: true,
+        });
+        assert_eq!(r.members(&col).unwrap(), vec![col.child("cn01")]);
+        assert_eq!(
+            r.get(&col).unwrap().body["Members"],
+            json!([{"@odata.id": "/redfish/v1/Systems/cn01"}])
+        );
     }
 
     #[test]

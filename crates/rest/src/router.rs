@@ -146,27 +146,16 @@ impl Router {
                 return self.drain_subscription(parent.leaf(), wait_ms);
             }
         }
-        if opts.expand {
-            let bytes = match self.ofmf.registry.expand(path) {
-                Ok(bytes) => bytes,
-                Err(e) => return error_response(&e),
-            };
-            let rest = crate::query::QueryOptions { expand: false, ..opts };
-            if rest.is_noop() {
-                return Response::json_bytes(200, bytes);
-            }
-            // Rare: `$expand` beside `$select`/`$top`/`$skip` pages and
-            // projects the one expander's answer, parsed back.
-            return match serde_json::from_slice(&bytes) {
-                Ok(body) => Response::json(200, &rest.apply(body)),
-                Err(e) => error_response(&RedfishError::Internal(format!("expanded {path}: {e}"))),
-            };
-        }
         if opts.is_noop() {
             return self.current(path, false);
         }
-        match self.ofmf.get(path) {
-            Ok((body, etag)) => Response::json(200, &opts.apply(body)).with_header("ETag", &etag.to_header()),
+        // Written from the tree under the resource's stripe: a page, a
+        // projection or an expansion, with no clone of the document.
+        match self.ofmf.registry.query(path, &opts) {
+            // An expansion holds other resources' state, which the
+            // collection's ETag does not version.
+            Ok((bytes, _)) if opts.expand => Response::json_bytes(200, bytes),
+            Ok((bytes, etag)) => Response::json_bytes(200, bytes).with_header("ETag", &etag.to_header()),
             Err(e) => error_response(&e),
         }
     }

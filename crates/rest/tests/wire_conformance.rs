@@ -570,3 +570,59 @@ fn queue_depth_gauge_settles_at_zero_after_connection_churn() {
         std::thread::sleep(Duration::from_millis(10));
     }
 }
+
+/// Following `Members@odata.nextLink` walks the pages of the view the client
+/// asked for: the link keeps `$expand` and `$select`, and a selected
+/// `Members` keeps its count and its nextLink. The pages together are the
+/// collection, member for member.
+#[test]
+fn next_link_keeps_the_views_expand_and_select() {
+    let (server, ofmf) = boot_with_ofmf(1, 64);
+    let mut w = Wire::connect(&server);
+    let col = ODataId::new("/redfish/v1/Fabrics/CXL0/Endpoints");
+    let members: Vec<Value> = ofmf
+        .registry
+        .members(&col)
+        .unwrap()
+        .iter()
+        .map(|m| Value::String(m.as_str().to_string()))
+        .collect();
+    assert!(members.len() >= 3, "{members:?}");
+    for (first, options) in [
+        ("$expand=.&$top=2", "&$top=2&$expand=."),
+        ("$select=Members&$top=2", "&$top=2&$select=Members"),
+        (
+            "$top=2&$expand=*&$select=Name,Members",
+            "&$top=2&$expand=.&$select=Name,Members",
+        ),
+    ] {
+        let mut seen = Vec::new();
+        let mut next = Some(format!("{col}?{first}"));
+        while let Some(target) = next.take() {
+            w.send(get(&target).as_bytes());
+            let page = w.response();
+            assert_eq!(page.status, 200, "{target}: {}", page.body_text());
+            let doc: Value = serde_json::from_slice(&page.body).unwrap();
+            assert_eq!(doc["Members@odata.count"], members.len(), "{target}");
+            let name_kept = !first.contains("$select") || first.contains("Name");
+            assert_eq!(doc.get("Name").is_some(), name_kept, "{target}");
+            for m in doc["Members"].as_array().unwrap() {
+                // Expanded pages inline documents, the others list links.
+                assert_eq!(
+                    m.get("@odata.type").is_some(),
+                    first.contains("$expand"),
+                    "{target}: {m}"
+                );
+                seen.push(m["@odata.id"].clone());
+            }
+            next = doc
+                .get("Members@odata.nextLink")
+                .map(|l| l.as_str().unwrap().to_string());
+            if let Some(link) = &next {
+                assert_eq!(link, &format!("{col}?$skip={}{options}", seen.len()));
+            }
+        }
+        assert_eq!(seen, members, "{first}");
+    }
+    server.shutdown();
+}

@@ -55,9 +55,13 @@ use std::time::Instant;
 pub enum FsyncPolicy {
     /// fsync after every append: no loss even on power failure.
     Always,
-    /// At most one fsync per window of this many milliseconds: every
-    /// append still reaches the kernel (survives a process crash), and a
-    /// power failure loses at most one window of mutations.
+    /// At most one fsync per window of this many milliseconds, run by the
+    /// first append that arrives a window or more after the last one. Every
+    /// append still reaches the kernel (survives a process crash), but no
+    /// timer syncs: a power failure loses everything appended since the
+    /// last fsync, and the tail of a burst stays unsynced until the next
+    /// append arrives, however long that is. ROADMAP item 10(a), a syncer
+    /// thread, makes the bound one window.
     Batch(u64),
     /// Never fsync explicitly: appends reach the kernel per write, but
     /// nothing forces them to stable storage.

@@ -605,3 +605,179 @@ fn the_deepest_accepted_body_replays_from_journal_and_snapshot() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// `rec` as a build that stored each collection's `Members` wrote it: a
+/// collection's create carries an empty array and count, and its snapshot
+/// install lists `children` in reverse id order — insertion order need not
+/// be id order — plus a link to a resource that no longer exists.
+fn with_stored_members(rec: WalRecord, children: &[String]) -> WalRecord {
+    let links = |ids: &[String]| ids.iter().map(|c| json!({"@odata.id": c})).collect::<Vec<_>>();
+    match rec {
+        WalRecord::Create {
+            id,
+            mut body,
+            etag,
+            is_collection: true,
+            parent_etag,
+        } => {
+            body["Members"] = json!([]);
+            body["Members@odata.count"] = json!(0);
+            WalRecord::Create {
+                id,
+                body,
+                etag,
+                is_collection: true,
+                parent_etag,
+            }
+        }
+        WalRecord::InstallResource {
+            id,
+            mut body,
+            etag,
+            is_collection: true,
+        } => {
+            let mut listed = links(children);
+            listed.reverse();
+            listed.push(json!({"@odata.id": format!("{id}/gone")}));
+            body["Members@odata.count"] = json!(listed.len());
+            body["Members"] = json!(listed);
+            WalRecord::InstallResource {
+                id,
+                body,
+                etag,
+                is_collection: true,
+            }
+        }
+        other => other,
+    }
+}
+
+/// A journal and snapshot in the format of a build that stored collection
+/// `Members` — arrays in an order other than id order, each with a stale
+/// link — replay to a tree whose collections list their live children in id
+/// order: the stored arrays are ignored, the stale link is not served, no
+/// link dangles, and the tree is the live one, by id and ETag.
+#[test]
+fn stored_member_arrays_of_an_older_journal_give_way_to_the_live_children() {
+    let dir = fresh_dir("stored-members-live");
+    let old = fresh_dir("stored-members-old");
+    let chassis = ODataId::new("/redfish/v1/Chassis");
+    let sensors = chassis.child("m-2").child("Sensors");
+    let tree = |ofmf: &Ofmf| {
+        let mut out = Vec::new();
+        ofmf.registry
+            .for_each(|id, stored| out.push((id.clone(), stored.etag, stored.is_collection)));
+        out
+    };
+
+    // Epoch 1: membership churn on both sides of a snapshot, out of id order.
+    let live = {
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::Off).expect("open"));
+        let ofmf = Ofmf::with_wal("ofmf-members", HashMap::new(), 7011, wal).expect("boot");
+        register_rig(&ofmf, 7011);
+        for leaf in ["m-3", "m-1", "m-2"] {
+            ofmf.registry
+                .create(&chassis.child(leaf), json!({"Name": leaf}))
+                .expect("create");
+        }
+        ofmf.write_snapshot().expect("snapshot");
+        for leaf in ["m-4", "m-0"] {
+            ofmf.registry
+                .create(&chassis.child(leaf), json!({"Name": leaf}))
+                .expect("create");
+        }
+        ofmf.registry.delete(&chassis.child("m-1")).expect("delete");
+        ofmf.registry
+            .create_collection(&sensors, "#SensorCollection.SensorCollection", "Sensors")
+            .expect("collection");
+        ofmf.registry
+            .create(&sensors.child("s0"), json!({"Name": "s0"}))
+            .expect("create");
+        tree(&ofmf)
+    };
+
+    // Rewrite snapshot and journal as the older build wrote them.
+    {
+        let wal = Wal::open(&dir, FsyncPolicy::Off).expect("reopen");
+        let read = |path: PathBuf| ofmf_wal::decode_records(&std::fs::read(path).expect("segment")).0;
+        let snapshot = read(wal.snapshot_path());
+        let log = read(wal.log_path());
+        let ids: Vec<String> = snapshot
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::InstallResource { id, .. } => Some(id.clone()),
+                _ => None,
+            })
+            .collect();
+        let children = |id: &str| -> Vec<String> {
+            let mut c: Vec<String> = ids
+                .iter()
+                .filter(|c| ODataId::new(c.as_str()).parent() == Some(ODataId::new(id)))
+                .cloned()
+                .collect();
+            c.sort();
+            c
+        };
+        let rewrite = |rec: WalRecord| {
+            let kids = match &rec {
+                WalRecord::InstallResource { id, .. } => children(id),
+                _ => Vec::new(),
+            };
+            with_stored_members(rec, &kids)
+        };
+        let out = Wal::open(&old, FsyncPolicy::Off).expect("open old-format dir");
+        out.snapshot_with(|w| {
+            snapshot.into_iter().map(rewrite).for_each(|r| w.push(&r));
+            Ok(())
+        })
+        .expect("old-format snapshot");
+        for rec in log.into_iter().map(rewrite) {
+            out.append(&rec).expect("old-format journal");
+        }
+        let stored = ofmf_wal::decode_records(&std::fs::read(out.snapshot_path()).expect("snapshot")).0;
+        let chassis_install = stored.iter().find_map(|r| match r {
+            WalRecord::InstallResource { id, body, .. } if id == chassis.as_str() => Some(body.clone()),
+            _ => None,
+        });
+        let listed = chassis_install.expect("chassis installed")["Members"].clone();
+        assert!(listed.to_string().contains("/redfish/v1/Chassis/gone"), "{listed}");
+    }
+
+    // Epoch 2: boot from the older format.
+    let wal = Arc::new(Wal::open(&old, FsyncPolicy::Off).expect("reopen old-format dir"));
+    let ofmf = Ofmf::with_wal("ofmf-members", HashMap::new(), 7011, wal).expect("recovery boot");
+    assert!(ofmf.was_recovered());
+    assert_eq!(tree(&ofmf), live, "replay is the live tree, by id and ETag");
+    assert!(ofmf.registry.dangling_links().is_empty());
+
+    let ids: Vec<ODataId> = live.iter().map(|(id, _, _)| id.clone()).collect();
+    for (col, _, _) in live.iter().filter(|(_, _, is_collection)| *is_collection) {
+        let children: Vec<ODataId> = ids
+            .iter()
+            .filter(|i| i.parent().as_ref() == Some(col))
+            .cloned()
+            .collect();
+        assert_eq!(ofmf.registry.members(col).expect("collection"), children, "{col}");
+        let (bytes, _) = ofmf.get_raw(col).expect("GET");
+        let served: serde_json::Value = serde_json::from_slice(&bytes).expect("json");
+        let links: Vec<serde_json::Value> = children.iter().map(|c| json!({"@odata.id": c.as_str()})).collect();
+        assert_eq!(served["Members"], json!(links), "{col}");
+        assert_eq!(served["Members@odata.count"], children.len(), "{col}");
+    }
+    let m: Vec<ODataId> = ["m-0", "m-2", "m-3", "m-4"].iter().map(|l| chassis.child(l)).collect();
+    let listed = ofmf.registry.members(&chassis).expect("chassis");
+    assert_eq!(
+        listed
+            .iter()
+            .filter(|id| id.leaf().starts_with("m-"))
+            .cloned()
+            .collect::<Vec<_>>(),
+        m
+    );
+    assert_eq!(
+        ofmf.registry.members(&sensors).expect("sensors"),
+        vec![sensors.child("s0")]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&old);
+}
